@@ -213,3 +213,69 @@ fn analyze_reports_clean_verifier_and_prune_consistency() {
     );
     assert!(stdout.contains("prune-consistency: OK"), "{stdout}");
 }
+
+/// Runs `flh campaign` at a fixed pool width and returns the output minus
+/// its first line (the header names the pool width; the rows must not
+/// depend on it).
+fn campaign_rows(threads: &str, args: &[&str]) -> String {
+    let out = Command::new(env!("CARGO_BIN_EXE_flh"))
+        .arg("campaign")
+        .args(args)
+        .env("FLH_THREADS", threads)
+        .output()
+        .expect("binary runs");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    stdout.lines().skip(1).map(|l| format!("{l}\n")).collect()
+}
+
+/// Pinned campaign results: the s1423 run is 17 pair blocks, so it spans
+/// more than one simulation window. Every row must be byte-identical at
+/// pool widths 1 and 4.
+#[test]
+fn campaign_golden_rows() {
+    const HEADER: &str = "     application style |  faults | detected | coverage %";
+    let cases: [(&[&str], [&str; 3]); 3] = [
+        (
+            &["s9234", "--pairs", "192", "--seed", "7"],
+            [
+                " arbitrary two-pattern |   11688 |     5106 |      43.69",
+                "             broadside |   11688 |     4685 |      40.08",
+                "           skewed-load |   11688 |     5058 |      43.28",
+            ],
+        ),
+        (
+            &["s13207", "--pairs", "768"],
+            [
+                " arbitrary two-pattern |   17302 |    12558 |      72.58",
+                "             broadside |   17302 |    11389 |      65.82",
+                "           skewed-load |   17302 |    12512 |      72.32",
+            ],
+        ),
+        (
+            &["s1423", "--pairs", "4352", "--seed", "7"],
+            [
+                " arbitrary two-pattern |    1496 |     1018 |      68.05",
+                "             broadside |    1496 |      932 |      62.30",
+                "           skewed-load |    1496 |     1012 |      67.65",
+            ],
+        ),
+    ];
+    for (args, rows) in cases {
+        let expected: String = std::iter::once(HEADER)
+            .chain(rows)
+            .map(|l| format!("{l}\n"))
+            .collect();
+        for threads in ["1", "4"] {
+            assert_eq!(
+                campaign_rows(threads, args),
+                expected,
+                "{args:?} at FLH_THREADS={threads}"
+            );
+        }
+    }
+}
