@@ -15,13 +15,14 @@
 //! [`random_transition_campaign`] quantifies this with seeded random
 //! pattern-pair campaigns under each constraint.
 
-use flh_exec::{DropMask, ThreadPool};
+use flh_exec::ThreadPool;
 use flh_netlist::{LaneWord, Netlist, Packed256, PatternWord};
 use flh_rng::Rng;
 
-use crate::fsim::{MIN_FAULTS_PER_SHARD, PATTERN_BLOCK};
+use crate::fsim::{PATTERN_BLOCK, WINDOW_BLOCKS};
+use crate::prune::{order_transition_faults_pruned, StaticFilter};
 use crate::transition::{
-    enumerate_transition_faults, order_transition_faults, TransitionSimulator,
+    enumerate_transition_faults, order_transition_faults, simulate_pair_windows, TransitionFault,
 };
 use crate::tview::{Observation, TestView};
 
@@ -71,7 +72,9 @@ impl CampaignResult {
 }
 
 /// Runs a seeded random transition-fault campaign of `pairs` pattern pairs
-/// under the given application style.
+/// under the given application style, with the fault list sharded over
+/// `pool` (the result is identical at any pool size). Statically
+/// untestable faults are pruned first ([`transition_campaign_filtered`]).
 ///
 /// # Errors
 ///
@@ -81,168 +84,65 @@ pub fn random_transition_campaign(
     style: ApplicationStyle,
     pairs: usize,
     seed: u64,
-) -> flh_netlist::Result<CampaignResult> {
-    random_transition_campaign_pooled(netlist, style, pairs, seed, &ThreadPool::serial())
-}
-
-/// Pooled [`random_transition_campaign`]: the pair stream is generated up
-/// front (consuming the RNG in exactly the order the streaming serial path
-/// does — the stream never depends on detection), then the fault list is
-/// sharded over the pool and every shard replays the full stream on its
-/// own simulator. Detection counts are summed in fault-id shard order, so
-/// the result is bit-identical at any pool size.
-///
-/// # Errors
-///
-/// Fails on combinationally cyclic netlists.
-pub fn random_transition_campaign_pooled(
-    netlist: &Netlist,
-    style: ApplicationStyle,
-    pairs: usize,
-    seed: u64,
     pool: &ThreadPool,
 ) -> flh_netlist::Result<CampaignResult> {
     let view = TestView::new(netlist)?;
     let faults = enumerate_transition_faults(netlist);
-    Ok(transition_campaign_with_view(
-        &view, &faults, style, pairs, seed, pool,
+    let filter = StaticFilter::from_view(&view);
+    Ok(transition_campaign_filtered(
+        &view,
+        &faults,
+        style,
+        pairs,
+        seed,
+        pool,
+        Some(&filter),
     ))
 }
 
 /// Campaign core over a prebuilt [`TestView`] and fault list — the entry
 /// point for callers that cache compiled circuits (the `flh-serve`
 /// `JobEngine`): a repeat campaign pays neither parse, compile nor fault
-/// enumeration. Semantics and results are exactly those of
-/// [`random_transition_campaign_pooled`] on the same netlist.
-pub fn transition_campaign_with_view(
-    view: &TestView<'_>,
-    faults: &[crate::transition::TransitionFault],
-    style: ApplicationStyle,
-    pairs: usize,
-    seed: u64,
-    pool: &ThreadPool,
-) -> CampaignResult {
-    let filter = crate::prune::StaticFilter::from_view(view);
-    transition_campaign_filtered(view, faults, style, pairs, seed, pool, Some(&filter))
-}
-
-/// [`transition_campaign_with_view`] with an explicit prune filter (`None`
-/// disables pruning). Statically untestable faults are dropped before
-/// sharding — the replay engine never touches them — while `total_faults`
-/// still counts the full universe. On a sound filter the pruned faults are
-/// exactly faults no pattern pair ever detects, so the aggregate counts
-/// are identical in both modes; the bench suite asserts that equality.
+/// enumeration. The pair stream is generated and simulated one window of
+/// 4096 pairs at a time, so memory does not grow with `pairs`.
+///
+/// `filter` prunes statically untestable faults before sharding (`None`
+/// disables pruning) — the replay engine never touches them — while
+/// `total_faults` still counts the full universe. On a sound filter the
+/// pruned faults are exactly faults no pattern pair ever detects, so the
+/// aggregate counts are identical in both modes; the bench suite asserts
+/// that equality.
 #[allow(clippy::too_many_arguments)]
 pub fn transition_campaign_filtered(
     view: &TestView<'_>,
-    faults: &[crate::transition::TransitionFault],
+    faults: &[TransitionFault],
     style: ApplicationStyle,
     pairs: usize,
     seed: u64,
     pool: &ThreadPool,
-    filter: Option<&crate::prune::StaticFilter>,
+    filter: Option<&StaticFilter>,
 ) -> CampaignResult {
-    let mut rng = Rng::seed_from_u64(seed);
-    let n = view.assignable().len();
-
-    // Assemble 256-lane pair blocks from four *sequential* 64-lane fills:
-    // sub-batch `j` lands in limb `j`, so the RNG is consumed in exactly
-    // the order the streaming 64-lane path ([`campaign_impl`]) consumes it
-    // and the generated pair stream is unchanged — only its grouping into
-    // simulation blocks widened. A final partial block keeps only the
-    // lanes that hold real pairs in its mask.
-    let mut batches: Vec<(Vec<Packed256>, Vec<Packed256>, Packed256)> =
-        Vec::with_capacity(pairs.div_ceil(PATTERN_BLOCK));
-    let mut remaining = pairs;
-    while remaining > 0 {
-        let lanes = remaining.min(PATTERN_BLOCK);
-        let mut v1 = vec![Packed256::bot(); n];
-        let mut v2 = vec![Packed256::bot(); n];
-        let mut sub1 = vec![0u64; n];
-        let mut sub2 = vec![0u64; n];
-        for limb in 0..lanes.div_ceil(64) {
-            fill_pair_batch(view, style, &mut rng, &mut sub1, &mut sub2);
-            for i in 0..n {
-                v1[i].0[limb] = sub1[i];
-                v2[i].0[limb] = sub2[i];
-            }
-        }
-        batches.push((v1, v2, Packed256::mask_lanes(lanes)));
-        remaining -= lanes;
-    }
-
     // Static prune, then static fault ordering: replay seeds sorted
     // level-major walk the compiled program front-to-back. The campaign
     // result is aggregate counts, so neither the permutation nor the
     // removal of provably undetectable faults is visible to callers.
     let ordered = match filter {
-        Some(f) => crate::prune::order_transition_faults_pruned(f, view.compiled(), faults).0,
+        Some(f) => order_transition_faults_pruned(f, view.compiled(), faults).0,
         None => order_transition_faults(view.compiled(), faults),
     };
-
-    // Shards never go below the minimum granularity (per-shard setup —
-    // simulator, good-machine evaluations per batch — must amortize), and
-    // each shard drops detected faults across its whole batch stream: a
-    // fault is replayed at most until its first detecting batch.
-    let mut drops = DropMask::new(ordered.len());
-    let parts = pool.run_partitioned_min(ordered.len(), MIN_FAULTS_PER_SHARD, |range| {
-        let shard = &ordered[range.clone()];
-        let mut sim = TransitionSimulator::new(view);
-        let mut detected = drops.shard(range);
-        for (v1, v2, mask) in &batches {
-            sim.run_batch(v1, v2, *mask, shard, &mut detected);
-        }
-        detected
-    });
-    for (range, flags) in parts {
-        drops.merge_shard(range, &flags);
-    }
-
+    let (applied, detected) = stream_campaign(view, &ordered, style, pairs, seed, pool, None);
     CampaignResult {
         style,
         total_faults: faults.len(),
-        detected: drops.dropped(),
-        pairs,
+        detected,
+        pairs: applied,
     }
 }
 
-/// Runs the full circuit × style campaign grid over a pool, one cell per
-/// `(netlist, style)` pair, each cell a self-contained serial
-/// [`random_transition_campaign`] with the same `pairs` and `seed`. Rows
-/// follow `netlists` order, columns `styles` order — identical to calling
-/// the serial campaign in two nested loops, at any pool size.
-///
-/// # Errors
-///
-/// Fails on combinationally cyclic netlists.
-pub fn campaign_grid(
-    netlists: &[Netlist],
-    styles: &[ApplicationStyle],
-    pairs: usize,
-    seed: u64,
-    pool: &ThreadPool,
-) -> flh_netlist::Result<Vec<Vec<CampaignResult>>> {
-    let cells = netlists.len() * styles.len();
-    let results = pool.run(cells, |i| {
-        let (ci, si) = (i / styles.len(), i % styles.len());
-        random_transition_campaign(&netlists[ci], styles[si], pairs, seed)
-    });
-    let mut rows = Vec::with_capacity(netlists.len());
-    let mut it = results.into_iter();
-    for _ in netlists {
-        let mut row = Vec::with_capacity(styles.len());
-        for _ in styles {
-            row.push(it.next().expect("one result per cell")?);
-        }
-        rows.push(row);
-    }
-    Ok(rows)
-}
-
-/// Runs batches of random pairs until `target_pct` coverage is reached or
-/// `max_pairs` are spent. Returns the pair count and coverage at the stop
-/// point — the raw material for cycles-to-coverage (test time)
-/// comparisons across application styles.
+/// Runs windows of random pairs until `target_pct` coverage is reached or
+/// `max_pairs` are spent. Coverage is checked every 64 pairs. Returns the
+/// pair count and coverage at the stop point — the raw material for
+/// cycles-to-coverage (test time) comparisons across application styles.
 ///
 /// # Errors
 ///
@@ -254,16 +154,84 @@ pub fn pairs_to_reach_coverage(
     max_pairs: usize,
     seed: u64,
 ) -> flh_netlist::Result<CampaignResult> {
-    campaign_impl(netlist, style, max_pairs, seed, |_, detected, total| {
-        100.0 * detected as f64 / total.max(1) as f64 >= target_pct
+    let view = TestView::new(netlist)?;
+    let faults = enumerate_transition_faults(netlist);
+    let total = faults.len();
+    let reached = |detected: usize| 100.0 * detected as f64 / total.max(1) as f64 >= target_pct;
+    let (applied, detected) = stream_campaign(
+        &view,
+        &faults,
+        style,
+        max_pairs,
+        seed,
+        &ThreadPool::serial(),
+        Some(&reached),
+    );
+    Ok(CampaignResult {
+        style,
+        total_faults: total,
+        detected,
+        pairs: applied,
     })
+}
+
+/// The campaign stream over the windowed driver: generates `pairs` random
+/// pairs one window at a time and simulates each window against `faults`.
+/// Without a stop rule a window is [`WINDOW_BLOCKS`] 256-lane blocks;
+/// with one, a window is a single 64-pair fill and `stop` sees the
+/// cumulative detection count after every window. Each block is assembled
+/// from four *sequential* 64-lane fills (fill `j` lands in limb `j`), so
+/// the RNG stream is the same whatever the window size, and a final
+/// partial block keeps only the lanes that hold real pairs in its mask.
+/// Returns the pairs applied and the faults detected.
+fn stream_campaign(
+    view: &TestView<'_>,
+    faults: &[TransitionFault],
+    style: ApplicationStyle,
+    pairs: usize,
+    seed: u64,
+    pool: &ThreadPool,
+    stop: Option<&dyn Fn(usize) -> bool>,
+) -> (usize, usize) {
+    let window_pairs = if stop.is_some() {
+        64
+    } else {
+        WINDOW_BLOCKS * PATTERN_BLOCK
+    };
+    let mut rng = Rng::seed_from_u64(seed);
+    let n = view.assignable().len();
+    let (mut sub1, mut sub2) = (vec![0u64; n], vec![0u64; n]);
+    let mut applied = 0;
+    let drops = simulate_pair_windows(view, faults, pool, |drops| {
+        let stopped = applied > 0 && stop.is_some_and(|stop| stop(drops.dropped()));
+        if applied == pairs || stopped {
+            return None;
+        }
+        let window = window_pairs.min(pairs - applied);
+        applied += window;
+        let mut blocks = Vec::with_capacity(window.div_ceil(PATTERN_BLOCK));
+        for start in (0..window).step_by(PATTERN_BLOCK) {
+            let lanes = (window - start).min(PATTERN_BLOCK);
+            let mut v1 = vec![Packed256::bot(); n];
+            let mut v2 = vec![Packed256::bot(); n];
+            for limb in 0..lanes.div_ceil(64) {
+                fill_pair_batch(view, style, &mut rng, &mut sub1, &mut sub2);
+                for i in 0..n {
+                    v1[i].0[limb] = sub1[i];
+                    v2[i].0[limb] = sub2[i];
+                }
+            }
+            blocks.push((v1, v2, Packed256::mask_lanes(lanes)));
+        }
+        Some(blocks)
+    });
+    (applied, drops.dropped())
 }
 
 /// Fills one 64-lane batch of random (V1, V2) words under `style`. RNG
 /// consumption order is fixed — all V1 words, V2 primary-input words, then
-/// the style-specific state fill — and is the determinism anchor shared by
-/// the streaming ([`campaign_impl`]) and precomputed
-/// ([`random_transition_campaign_pooled`]) pair generators.
+/// the style-specific state fill — and is the determinism anchor of the
+/// campaign pair stream ([`stream_campaign`]) at every window size.
 fn fill_pair_batch(
     view: &TestView<'_>,
     style: ApplicationStyle,
@@ -313,56 +281,6 @@ fn fill_pair_batch(
     }
 }
 
-/// Streaming campaign core: generates and simulates one batch at a time so
-/// `stop` can end the run on cumulative coverage — the path
-/// [`pairs_to_reach_coverage`] needs, which cannot be fault-partitioned
-/// without changing where the early stop lands.
-fn campaign_impl(
-    netlist: &Netlist,
-    style: ApplicationStyle,
-    pairs: usize,
-    seed: u64,
-    mut stop: impl FnMut(usize, usize, usize) -> bool,
-) -> flh_netlist::Result<CampaignResult> {
-    let view = TestView::new(netlist)?;
-    let faults = enumerate_transition_faults(netlist);
-    let mut sim = TransitionSimulator::new(&view);
-    let mut detected = vec![false; faults.len()];
-    let mut rng = Rng::seed_from_u64(seed);
-
-    let n = view.assignable().len();
-
-    let mut applied = 0usize;
-    let mut detected_count = 0usize;
-    let mut remaining = pairs;
-    let mut sub1 = vec![0u64; n];
-    let mut sub2 = vec![0u64; n];
-    while remaining > 0 {
-        // One 64-lane fill per step, widened into the low limb: the stop
-        // predicate still sees coverage every 64 pairs, so early-stop
-        // points (and the RNG stream) are identical to the historical
-        // 64-lane streaming path.
-        let lanes = remaining.min(64);
-        fill_pair_batch(&view, style, &mut rng, &mut sub1, &mut sub2);
-        let v1: Vec<Packed256> = sub1.iter().map(|&w| Packed256::from_word(w)).collect();
-        let v2: Vec<Packed256> = sub2.iter().map(|&w| Packed256::from_word(w)).collect();
-        let mask = Packed256::mask_lanes(lanes);
-        detected_count += sim.run_batch(&v1, &v2, mask, &faults, &mut detected);
-        remaining -= lanes;
-        applied += lanes;
-        if stop(applied, detected_count, faults.len()) {
-            break;
-        }
-    }
-
-    Ok(CampaignResult {
-        style,
-        total_faults: faults.len(),
-        detected: detected_count,
-        pairs: applied,
-    })
-}
-
 /// Tester clock cycles to apply one two-pattern test under a style, with a
 /// `load_cycles`-deep (possibly multi-chain) scan load:
 ///
@@ -399,20 +317,24 @@ mod tests {
         .unwrap()
     }
 
+    /// Serial [`random_transition_campaign`].
+    fn campaign(n: &Netlist, style: ApplicationStyle, pairs: usize, seed: u64) -> CampaignResult {
+        random_transition_campaign(n, style, pairs, seed, &ThreadPool::serial()).unwrap()
+    }
+
     #[test]
     fn campaigns_are_deterministic() {
         let n = circuit();
-        let a = random_transition_campaign(&n, ApplicationStyle::Broadside, 200, 7).unwrap();
-        let b = random_transition_campaign(&n, ApplicationStyle::Broadside, 200, 7).unwrap();
+        let a = campaign(&n, ApplicationStyle::Broadside, 200, 7);
+        let b = campaign(&n, ApplicationStyle::Broadside, 200, 7);
         assert_eq!(a, b);
     }
 
     #[test]
     fn arbitrary_pairs_beat_broadside() {
         let n = circuit();
-        let arb =
-            random_transition_campaign(&n, ApplicationStyle::ArbitraryTwoPattern, 500, 11).unwrap();
-        let brd = random_transition_campaign(&n, ApplicationStyle::Broadside, 500, 11).unwrap();
+        let arb = campaign(&n, ApplicationStyle::ArbitraryTwoPattern, 500, 11);
+        let brd = campaign(&n, ApplicationStyle::Broadside, 500, 11);
         assert!(
             arb.coverage_pct() > brd.coverage_pct(),
             "arbitrary {} <= broadside {}",
@@ -424,9 +346,8 @@ mod tests {
     #[test]
     fn arbitrary_pairs_beat_skewed_load() {
         let n = circuit();
-        let arb = random_transition_campaign(&n, ApplicationStyle::ArbitraryTwoPattern, 2000, 11)
-            .unwrap();
-        let skw = random_transition_campaign(&n, ApplicationStyle::SkewedLoad, 2000, 11).unwrap();
+        let arb = campaign(&n, ApplicationStyle::ArbitraryTwoPattern, 2000, 11);
+        let skw = campaign(&n, ApplicationStyle::SkewedLoad, 2000, 11);
         assert!(
             arb.coverage_pct() >= skw.coverage_pct(),
             "arbitrary {} < skewed {}",
@@ -438,71 +359,47 @@ mod tests {
     #[test]
     fn more_pairs_more_coverage() {
         let n = circuit();
-        let few =
-            random_transition_campaign(&n, ApplicationStyle::ArbitraryTwoPattern, 64, 3).unwrap();
-        let many =
-            random_transition_campaign(&n, ApplicationStyle::ArbitraryTwoPattern, 1000, 3).unwrap();
+        let few = campaign(&n, ApplicationStyle::ArbitraryTwoPattern, 64, 3);
+        let many = campaign(&n, ApplicationStyle::ArbitraryTwoPattern, 1000, 3);
         assert!(many.detected >= few.detected);
         assert!(many.coverage_pct() > 50.0);
     }
 
     #[test]
     fn pooled_campaign_matches_serial_at_any_width() {
+        // 4352 pairs = 17 blocks: the second window holds one block, so
+        // detections must carry across the window boundary at every width.
         let n = circuit();
         for style in [
             ApplicationStyle::ArbitraryTwoPattern,
             ApplicationStyle::Broadside,
             ApplicationStyle::SkewedLoad,
         ] {
-            let serial = random_transition_campaign(&n, style, 300, 13).unwrap();
-            for workers in [2, 4, 8] {
-                let pooled = random_transition_campaign_pooled(
-                    &n,
-                    style,
-                    300,
-                    13,
-                    &ThreadPool::new(workers),
-                )
-                .unwrap();
-                assert_eq!(pooled, serial, "{style}, workers = {workers}");
+            for pairs in [300, 4352] {
+                let serial = campaign(&n, style, pairs, 13);
+                for workers in [2, 4, 8] {
+                    let pooled =
+                        random_transition_campaign(&n, style, pairs, 13, &ThreadPool::new(workers))
+                            .unwrap();
+                    assert_eq!(
+                        pooled, serial,
+                        "{style}, {pairs} pairs, workers = {workers}"
+                    );
+                }
             }
         }
     }
 
     #[test]
-    fn campaign_grid_matches_nested_loops() {
-        let a = circuit();
-        let b = generate_circuit(&GeneratorConfig {
-            name: "camp2".into(),
-            primary_inputs: 5,
-            primary_outputs: 3,
-            flip_flops: 8,
-            gates: 70,
-            logic_depth: 7,
-            avg_ff_fanout: 2.1,
-            unique_flg_ratio: 1.7,
-            hot_ff_fanout: None,
-            seed: 56,
-        })
-        .unwrap();
-        let netlists = [a, b];
-        let styles = [
-            ApplicationStyle::ArbitraryTwoPattern,
-            ApplicationStyle::SkewedLoad,
-        ];
-        let expected: Vec<Vec<CampaignResult>> = netlists
-            .iter()
-            .map(|n| {
-                styles
-                    .iter()
-                    .map(|&s| random_transition_campaign(n, s, 128, 5).unwrap())
-                    .collect()
-            })
-            .collect();
-        for workers in [1, 3] {
-            let grid =
-                campaign_grid(&netlists, &styles, 128, 5, &ThreadPool::new(workers)).unwrap();
-            assert_eq!(grid, expected, "workers = {workers}");
+    fn stop_rule_windows_consume_the_same_pair_stream() {
+        // The 64-pair windows of the stop-rule path and the 16-block
+        // windows of the plain campaign consume the same pair stream: with
+        // an unreachable target, both detect the same faults.
+        let n = circuit();
+        for style in [ApplicationStyle::Broadside, ApplicationStyle::SkewedLoad] {
+            let full = campaign(&n, style, 700, 5);
+            let stepped = pairs_to_reach_coverage(&n, style, 101.0, 700, 5).unwrap();
+            assert_eq!(stepped, full, "{style}");
         }
     }
 
@@ -514,8 +411,7 @@ mod tests {
     #[test]
     fn pairs_to_reach_stops_early() {
         let n = circuit();
-        let full = random_transition_campaign(&n, ApplicationStyle::ArbitraryTwoPattern, 2000, 21)
-            .unwrap();
+        let full = campaign(&n, ApplicationStyle::ArbitraryTwoPattern, 2000, 21);
         let target = 0.8 * full.coverage_pct();
         let partial =
             pairs_to_reach_coverage(&n, ApplicationStyle::ArbitraryTwoPattern, target, 2000, 21)

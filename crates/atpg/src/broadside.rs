@@ -260,7 +260,14 @@ mod tests {
         let n = circuit();
         let faults = enumerate_transition_faults(&n);
         let det = broadside_transition_atpg(&n, &faults, &PodemConfig::paper_default(), 5).unwrap();
-        let rnd = random_transition_campaign(&n, ApplicationStyle::Broadside, 2048, 5).unwrap();
+        let rnd = random_transition_campaign(
+            &n,
+            ApplicationStyle::Broadside,
+            2048,
+            5,
+            &flh_exec::ThreadPool::serial(),
+        )
+        .unwrap();
         assert!(
             det.coverage_pct() >= rnd.coverage_pct(),
             "deterministic {} < random {}",

@@ -192,7 +192,8 @@ mod tests {
         let faults = enumerate_stuck_faults(&n);
         let patterns = random_patterns(&view, 200, 1);
         // Pick a fault that the pattern set actually detects.
-        let detected = crate::fsim::stuck_coverage(&view, &faults, &patterns);
+        let detected =
+            crate::fsim::stuck_coverage(&view, &faults, &patterns, &flh_exec::ThreadPool::serial());
         let culprit = faults
             .iter()
             .zip(&detected)
@@ -242,7 +243,8 @@ mod tests {
         let view = TestView::new(&n).unwrap();
         let faults = enumerate_stuck_faults(&n);
         let patterns = random_patterns(&view, 200, 3);
-        let detected = crate::fsim::stuck_coverage(&view, &faults, &patterns);
+        let detected =
+            crate::fsim::stuck_coverage(&view, &faults, &patterns, &flh_exec::ThreadPool::serial());
         let culprit = faults
             .iter()
             .zip(&detected)
@@ -263,7 +265,8 @@ mod tests {
         let view = TestView::new(&n).unwrap();
         let faults = enumerate_stuck_faults(&n);
         let patterns = random_patterns(&view, 300, 4);
-        let detected = crate::fsim::stuck_coverage(&view, &faults, &patterns);
+        let detected =
+            crate::fsim::stuck_coverage(&view, &faults, &patterns, &flh_exec::ThreadPool::serial());
         let mut detectable = faults
             .iter()
             .zip(&detected)
@@ -297,7 +300,8 @@ mod tests {
         let view = TestView::new(&n).unwrap();
         let faults = enumerate_stuck_faults(&n);
         let patterns = random_patterns(&view, 200, 5);
-        let detected = crate::fsim::stuck_coverage(&view, &faults, &patterns);
+        let detected =
+            crate::fsim::stuck_coverage(&view, &faults, &patterns, &flh_exec::ThreadPool::serial());
         let culprit = faults
             .iter()
             .zip(&detected)

@@ -19,6 +19,10 @@
 //! an activation mask with only the populated lanes set, and every
 //! miscompare is intersected with it, so padding lanes never touch
 //! detection flags or coverage counts.
+//!
+//! `simulate_windows` is the one sharded driver both fault models run
+//! under: every coverage and campaign entry point of this crate feeds it
+//! windows of packed blocks.
 
 use flh_exec::{DropMask, ThreadPool};
 use flh_netlist::{CellKind, CompiledCircuit, LaneWord, Packed256, PatternWord};
@@ -27,15 +31,19 @@ use crate::fault::{Fault, FaultSite};
 use crate::replay::DeviationReplay;
 use crate::tview::TestView;
 
-/// Minimum faults per shard of a partitioned campaign: below this, the
-/// per-shard cost (a fresh simulator, a good-machine evaluation per batch)
-/// outweighs any parallelism. Shard boundaries never affect results — stats
+/// Minimum faults per shard of [`simulate_windows`]: below this, the
+/// per-shard cost (a fresh simulator, a good-machine evaluation per block)
+/// outweighs any parallelism. Shard boundaries never affect results — flags
 /// are merged by fault id — so this is purely a throughput knob.
 pub(crate) const MIN_FAULTS_PER_SHARD: usize = 64;
 
 /// Pattern lanes per simulation block — the width of one [`Packed256`]
 /// superword.
 pub const PATTERN_BLOCK: usize = Packed256::LANES;
+
+/// Blocks per window of [`simulate_windows`]: 16 × 256 = 4096 patterns or
+/// pairs held packed at a time, however long the stream is.
+pub(crate) const WINDOW_BLOCKS: usize = 16;
 
 /// Evaluates one library cell over a [`Packed256`] input row, limb by limb
 /// through [`CellKind::eval64`] — the branch-fault forced-value
@@ -177,24 +185,11 @@ impl<'v, 'a> StuckSimulator<'v, 'a> {
     }
 }
 
-/// Per-fault outcome of a partitioned stuck-at campaign: the detection flag
-/// plus the index of the 256-pattern block that first caught the fault.
-/// Block indices are global over the pattern set, so they are identical no
-/// matter how the fault list is partitioned.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct FaultStats {
-    /// The fault was detected by at least one pattern.
-    pub detected: bool,
-    /// Index of the first detecting 256-pattern block (`None` if
-    /// undetected).
-    pub first_batch: Option<u32>,
-}
-
 /// Packs up to [`PATTERN_BLOCK`] patterns into one superword per
-/// assignable input and returns the lane mask covering exactly the packed
+/// assignable input, with the lane mask covering exactly the packed
 /// patterns (padding lanes stay masked out of every miscompare).
-fn pack_batch(chunk: &[Vec<bool>], n: usize, words: &mut [Packed256]) -> Packed256 {
-    words.fill(Packed256::bot());
+fn pack_batch(chunk: &[Vec<bool>], n: usize) -> (Vec<Packed256>, Packed256) {
+    let mut words = vec![Packed256::bot(); n];
     for (lane, p) in chunk.iter().enumerate() {
         assert_eq!(p.len(), n, "pattern length mismatch");
         for (i, &bit) in p.iter().enumerate() {
@@ -203,115 +198,75 @@ fn pack_batch(chunk: &[Vec<bool>], n: usize, words: &mut [Packed256]) -> Packed2
             }
         }
     }
-    Packed256::mask_lanes(chunk.len())
+    (words, Packed256::mask_lanes(chunk.len()))
 }
 
-/// One worker's share of a partitioned campaign: a fresh simulator over the
-/// shared view, the full pattern set, a contiguous fault shard. Faults
-/// flagged in `dropped` were detected by an earlier call and are never
-/// replayed again; the shard's updated flags are merged back by the caller.
-fn stats_shard(
-    view: &TestView<'_>,
-    faults: &[Fault],
-    patterns: &[Vec<bool>],
-    mut dropped: Vec<bool>,
-) -> (Vec<FaultStats>, Vec<bool>) {
-    let mut sim = StuckSimulator::new(view);
-    let mut stats = vec![FaultStats::default(); faults.len()];
-    let already: Vec<bool> = dropped.clone();
-    let n = view.assignable().len();
-    let mut words = vec![Packed256::bot(); n];
-    for (batch, chunk) in patterns.chunks(PATTERN_BLOCK).enumerate() {
-        let mask = pack_batch(chunk, n, &mut words);
-        let new_hits = sim.run_batch(&words, mask, faults, &mut dropped);
-        if new_hits > 0 {
-            for ((s, &d), &pre) in stats.iter_mut().zip(&dropped).zip(&already) {
-                if d && !pre && !s.detected {
-                    s.detected = true;
-                    s.first_batch = Some(batch as u32);
-                }
-            }
-        }
-    }
-    (stats, dropped)
-}
-
-impl StuckSimulator<'_, '_> {
-    /// Partitioned stuck-at campaign: splits `faults` into one contiguous
-    /// shard per pool worker, runs each shard on its own simulator, and
-    /// merges per-fault stats **by fault id** (the shards are contiguous
-    /// ascending ranges, so concatenation in partition order is fault-id
-    /// order — completion order never matters). Bit-identical at any pool
-    /// size.
-    pub fn simulate_partitioned(
-        view: &TestView<'_>,
-        faults: &[Fault],
-        patterns: &[Vec<bool>],
-        pool: &ThreadPool,
-    ) -> Vec<FaultStats> {
-        let mut drops = DropMask::new(faults.len());
-        Self::simulate_partitioned_dropping(view, faults, patterns, pool, &mut drops)
-    }
-
-    /// [`StuckSimulator::simulate_partitioned`] with a persistent
-    /// [`DropMask`]: faults already dropped are skipped by every shard, and
-    /// this call's detections are merged back into `drops`, so a sequence
-    /// of calls (incremental pattern blocks) never re-replays a detected
-    /// fault. Stats describe **this call only** — a fault dropped by an
-    /// earlier call reports `FaultStats::default()`.
-    pub fn simulate_partitioned_dropping(
-        view: &TestView<'_>,
-        faults: &[Fault],
-        patterns: &[Vec<bool>],
-        pool: &ThreadPool,
-        drops: &mut DropMask,
-    ) -> Vec<FaultStats> {
-        assert_eq!(drops.len(), faults.len(), "drop mask length mismatch");
+/// The fault-simulation driver under every coverage and campaign entry
+/// point, for both fault models. `next_window` yields the next window of
+/// packed blocks (at most [`WINDOW_BLOCKS`] of them) or `None` to end the
+/// run; it sees the detections so far, so a stop rule lives there. Each
+/// window runs with the fault list split into contiguous shards over
+/// `pool` — one fresh simulator per shard from `new_sim`, every block of
+/// the window through `run_block` — and the shards' flags merge into one
+/// [`DropMask`] that persists across windows, so a fault is replayed at
+/// most until its first detecting block. Shards merge by fault-id range,
+/// so the mask is identical at any pool width.
+pub(crate) fn simulate_windows<F: Sync, B: Sync, S>(
+    faults: &[F],
+    pool: &ThreadPool,
+    mut next_window: impl FnMut(&DropMask) -> Option<Vec<B>>,
+    new_sim: impl Fn() -> S + Sync,
+    run_block: impl Fn(&mut S, &B, &[F], &mut [bool]) + Sync,
+) -> DropMask {
+    let mut drops = DropMask::new(faults.len());
+    while let Some(window) = next_window(&drops) {
         let parts = pool.run_partitioned_min(faults.len(), MIN_FAULTS_PER_SHARD, |range| {
-            stats_shard(view, &faults[range.clone()], patterns, drops.shard(range))
+            let mut sim = new_sim();
+            let mut detected = drops.shard(range.clone());
+            for block in &window {
+                run_block(&mut sim, block, &faults[range.clone()], &mut detected);
+            }
+            detected
         });
-        let mut stats = Vec::with_capacity(faults.len());
-        for (range, (shard, flags)) in parts {
-            stats.extend(shard);
+        for (range, flags) in parts {
             drops.merge_shard(range, &flags);
         }
-        stats
     }
+    drops
 }
 
 /// Simulates a fully-specified pattern set against a stuck-at fault list,
 /// returning per-fault detection flags. Patterns are bit vectors in
-/// [`TestView::assignable`] order. Serial ([`ThreadPool::serial`]) case of
-/// [`stuck_coverage_partitioned`].
-pub fn stuck_coverage(view: &TestView<'_>, faults: &[Fault], patterns: &[Vec<bool>]) -> Vec<bool> {
-    stuck_coverage_partitioned(view, faults, patterns, &ThreadPool::serial())
-}
-
-/// Pooled [`stuck_coverage`]: the fault list is split across the pool's
-/// workers, each with its own simulator (the replay state is per-fault, so
-/// sharding by fault loses nothing). Detection flags are merged in fault-id
-/// order and are identical at any pool size.
-pub fn stuck_coverage_partitioned(
+/// [`TestView::assignable`] order, packed one window at a time; the fault
+/// list is sharded over `pool` and the flags are identical at any pool
+/// size.
+pub fn stuck_coverage(
     view: &TestView<'_>,
     faults: &[Fault],
     patterns: &[Vec<bool>],
     pool: &ThreadPool,
 ) -> Vec<bool> {
-    StuckSimulator::simulate_partitioned(view, faults, patterns, pool)
-        .into_iter()
-        .map(|s| s.detected)
-        .collect()
-}
-
-/// [`stuck_coverage_partitioned`] on a fixed-size pool — kept as the
-/// thread-count-explicit entry point.
-pub fn stuck_coverage_parallel(
-    view: &TestView<'_>,
-    faults: &[Fault],
-    patterns: &[Vec<bool>],
-    threads: usize,
-) -> Vec<bool> {
-    stuck_coverage_partitioned(view, faults, patterns, &ThreadPool::new(threads))
+    let n = view.assignable().len();
+    let mut windows = patterns.chunks(WINDOW_BLOCKS * PATTERN_BLOCK);
+    simulate_windows(
+        faults,
+        pool,
+        |_| {
+            let window = windows.next()?;
+            Some(
+                window
+                    .chunks(PATTERN_BLOCK)
+                    .map(|c| pack_batch(c, n))
+                    .collect(),
+            )
+        },
+        || StuckSimulator::new(view),
+        |sim, (words, mask), faults, detected| {
+            sim.run_batch(words, *mask, faults, detected);
+        },
+    )
+    .flags()
+    .to_vec()
 }
 
 /// Reference stuck-at detection for one fault and one 64-pattern word:
@@ -378,7 +333,7 @@ mod tests {
         let patterns: Vec<Vec<bool>> = (0u64..(1 << na))
             .map(|bits| (0..na).map(|i| bits >> i & 1 == 1).collect())
             .collect();
-        let detected = stuck_coverage(&view, &faults, &patterns);
+        let detected = stuck_coverage(&view, &faults, &patterns, &ThreadPool::serial());
         // Cross-check against PODEM verdicts.
         let podem = Podem::new(&view, PodemConfig::paper_default());
         for (f, &d) in faults.iter().zip(&detected) {
@@ -397,10 +352,15 @@ mod tests {
         let patterns: Vec<Vec<bool>> = (0..150)
             .map(|_| (0..na).map(|_| rng.gen()).collect())
             .collect();
-        let batch = stuck_coverage(&view, &faults, &patterns);
+        let batch = stuck_coverage(&view, &faults, &patterns, &ThreadPool::serial());
         let mut serial = vec![false; faults.len()];
         for p in &patterns {
-            let d = stuck_coverage(&view, &faults, std::slice::from_ref(p));
+            let d = stuck_coverage(
+                &view,
+                &faults,
+                std::slice::from_ref(p),
+                &ThreadPool::serial(),
+            );
             for (s, d) in serial.iter_mut().zip(d) {
                 *s |= d;
             }
@@ -472,11 +432,11 @@ mod tests {
         n.add_output("y2", g2);
         let view = TestView::new(&n).unwrap();
         let fault = Fault::branch(g1, 0, StuckValue::Zero);
-        let detected = stuck_coverage(&view, &[fault], &[vec![true]]);
+        let detected = stuck_coverage(&view, &[fault], &[vec![true]], &ThreadPool::serial());
         assert!(detected[0]);
         // And the other branch is untouched: its fault needs its own test.
         let other = Fault::branch(g2, 0, StuckValue::One);
-        let detected = stuck_coverage(&view, &[other], &[vec![true]]);
+        let detected = stuck_coverage(&view, &[other], &[vec![true]], &ThreadPool::serial());
         assert!(!detected[0]);
     }
 
@@ -490,82 +450,34 @@ mod tests {
         let patterns: Vec<Vec<bool>> = (0..200)
             .map(|_| (0..na).map(|_| rng.gen()).collect())
             .collect();
-        let serial = stuck_coverage(&view, &faults, &patterns);
+        let serial = stuck_coverage(&view, &faults, &patterns, &ThreadPool::serial());
         for threads in [1, 2, 3, 8, 1000] {
-            let parallel = stuck_coverage_parallel(&view, &faults, &patterns, threads);
+            let parallel = stuck_coverage(&view, &faults, &patterns, &ThreadPool::new(threads));
             assert_eq!(parallel, serial, "threads = {threads}");
         }
     }
 
     #[test]
-    fn partitioned_stats_merge_by_fault_id() {
-        let n = circuit();
-        let view = TestView::new(&n).unwrap();
-        let faults = enumerate_stuck_faults(&n);
-        let na = view.assignable().len();
-        let mut rng = Rng::seed_from_u64(12);
-        let patterns: Vec<Vec<bool>> = (0..600)
-            .map(|_| (0..na).map(|_| rng.gen()).collect())
-            .collect();
-        let serial =
-            StuckSimulator::simulate_partitioned(&view, &faults, &patterns, &ThreadPool::serial());
-        let flags = stuck_coverage(&view, &faults, &patterns);
-        for (s, &d) in serial.iter().zip(&flags) {
-            assert_eq!(s.detected, d);
-            assert_eq!(s.first_batch.is_some(), d);
-            if let Some(b) = s.first_batch {
-                assert!((b as usize) < patterns.len().div_ceil(PATTERN_BLOCK));
-            }
-        }
-        for workers in [2, 3, 8] {
-            let pooled = StuckSimulator::simulate_partitioned(
-                &view,
-                &faults,
-                &patterns,
-                &ThreadPool::new(workers),
-            );
-            assert_eq!(pooled, serial, "workers = {workers}");
-        }
-    }
-
-    #[test]
-    fn dropped_faults_are_skipped_and_merged_across_calls() {
+    fn detections_persist_across_windows() {
+        // A pattern set longer than one window equals the union of its
+        // window-aligned halves: faults dropped in the first window are
+        // skipped by the second, never lost or re-counted.
         let n = circuit();
         let view = TestView::new(&n).unwrap();
         let faults = enumerate_stuck_faults(&n);
         let na = view.assignable().len();
         let mut rng = Rng::seed_from_u64(14);
-        let patterns: Vec<Vec<bool>> = (0..768)
+        let window = WINDOW_BLOCKS * PATTERN_BLOCK;
+        let patterns: Vec<Vec<bool>> = (0..window + 300)
             .map(|_| (0..na).map(|_| rng.gen()).collect())
             .collect();
-        // One shot over the whole set...
-        let whole = stuck_coverage(&view, &faults, &patterns);
-        // ...equals two incremental halves through a shared drop mask
-        // (split off a block boundary, so partial-block masking is in
-        // play on both halves).
-        let mut drops = DropMask::new(faults.len());
-        for half in patterns.chunks(384) {
-            StuckSimulator::simulate_partitioned_dropping(
-                &view,
-                &faults,
-                half,
-                &ThreadPool::new(3),
-                &mut drops,
-            );
+        let first = stuck_coverage(&view, &faults, &patterns[..window], &ThreadPool::serial());
+        let rest = stuck_coverage(&view, &faults, &patterns[window..], &ThreadPool::serial());
+        let union: Vec<bool> = first.iter().zip(&rest).map(|(&a, &b)| a || b).collect();
+        for workers in [1, 3] {
+            let whole = stuck_coverage(&view, &faults, &patterns, &ThreadPool::new(workers));
+            assert_eq!(whole, union, "workers = {workers}");
         }
-        assert_eq!(drops.flags(), whole.as_slice());
-        // A third call over already-covered patterns reports nothing new.
-        let again = StuckSimulator::simulate_partitioned_dropping(
-            &view,
-            &faults,
-            &patterns,
-            &ThreadPool::serial(),
-            &mut drops,
-        );
-        for (s, &d) in again.iter().zip(&whole) {
-            assert!(!s.detected || !d, "dropped fault was re-detected");
-        }
-        assert_eq!(drops.flags(), whole.as_slice());
     }
 
     #[test]
@@ -583,9 +495,19 @@ mod tests {
         let patterns: Vec<Vec<bool>> = (0..PATTERN_BLOCK + 57)
             .map(|_| (0..na).map(|_| rng.gen()).collect())
             .collect();
-        let full = stuck_coverage(&view, &faults, &patterns);
-        let prefix = stuck_coverage(&view, &faults, &patterns[..PATTERN_BLOCK]);
-        let tail = stuck_coverage(&view, &faults, &patterns[PATTERN_BLOCK..]);
+        let full = stuck_coverage(&view, &faults, &patterns, &ThreadPool::serial());
+        let prefix = stuck_coverage(
+            &view,
+            &faults,
+            &patterns[..PATTERN_BLOCK],
+            &ThreadPool::serial(),
+        );
+        let tail = stuck_coverage(
+            &view,
+            &faults,
+            &patterns[PATTERN_BLOCK..],
+            &ThreadPool::serial(),
+        );
         let union: Vec<bool> = prefix.iter().zip(&tail).map(|(&a, &b)| a || b).collect();
         assert_eq!(full, union, "padding lanes leaked into detection");
         // Detection counts for N and N-rounded-down runs differ only by
@@ -620,8 +542,8 @@ mod tests {
         let patterns: Vec<Vec<bool>> = (0..100)
             .map(|_| (0..na).map(|_| rng.gen()).collect())
             .collect();
-        let base = stuck_coverage(&view, &faults, &patterns);
-        let perm = stuck_coverage(&view, &ordered, &patterns);
+        let base = stuck_coverage(&view, &faults, &patterns, &ThreadPool::serial());
+        let perm = stuck_coverage(&view, &ordered, &patterns, &ThreadPool::serial());
         assert_eq!(
             base.iter().filter(|&&d| d).count(),
             perm.iter().filter(|&&d| d).count()
@@ -633,7 +555,7 @@ mod tests {
         let n = circuit();
         let view = TestView::new(&n).unwrap();
         let faults = enumerate_stuck_faults(&n);
-        let detected = stuck_coverage(&view, &faults, &[]);
+        let detected = stuck_coverage(&view, &faults, &[], &ThreadPool::serial());
         assert!(detected.iter().all(|&d| !d));
     }
 }

@@ -44,9 +44,8 @@ pub mod transition;
 pub mod tview;
 
 pub use application::{
-    campaign_grid, cycles_per_pattern, pairs_to_reach_coverage, random_transition_campaign,
-    random_transition_campaign_pooled, transition_campaign_filtered, transition_campaign_with_view,
-    ApplicationStyle, CampaignResult,
+    cycles_per_pattern, pairs_to_reach_coverage, random_transition_campaign,
+    transition_campaign_filtered, ApplicationStyle, CampaignResult,
 };
 pub use broadside::{broadside_transition_atpg, BroadsideAtpgResult, BroadsidePattern};
 pub use diagnose::{diagnose, faulty_responses, golden_responses, DiagnosisCandidate};
@@ -54,8 +53,7 @@ pub use fault::{
     collapse_faults, enumerate_stuck_faults, inject_fault, Fault, FaultSite, StuckValue,
 };
 pub use fsim::{
-    order_stuck_faults, stuck_coverage, stuck_coverage_parallel, stuck_coverage_partitioned,
-    stuck_detects_reference, FaultStats, StuckSimulator, PATTERN_BLOCK,
+    order_stuck_faults, stuck_coverage, stuck_detects_reference, StuckSimulator, PATTERN_BLOCK,
 };
 pub use path::{
     generate_path_test, generate_robust_path_test, longest_paths, longest_sensitizable_path,
@@ -65,16 +63,14 @@ pub use path::{
 pub use patterns_io::{parse_patterns, read_patterns_file, write_patterns};
 pub use podem::{Podem, PodemConfig, TestCube};
 pub use prune::{
-    order_stuck_faults_pruned, order_transition_faults_pruned, stuck_coverage_pruned, PruneOutcome,
-    StaticFilter,
+    order_stuck_faults_pruned, order_transition_faults_pruned, PruneOutcome, StaticFilter,
 };
 pub use replay::DeviationReplay;
 pub use transition::{
     collapse_transition_faults, compact_transition_patterns, enumerate_transition_faults,
-    order_transition_faults, simulate_transition_patterns, simulate_transition_patterns_dropping,
-    simulate_transition_patterns_partitioned, transition_atpg, transition_atpg_ndetect,
-    transition_atpg_with_filter, transition_collapse_justifier, transition_detects_reference,
-    NDetectResult, TransitionAtpgResult, TransitionFault, TransitionKind, TransitionPattern,
-    TransitionSimulator,
+    order_transition_faults, simulate_transition_patterns, transition_atpg,
+    transition_atpg_ndetect, transition_atpg_with_filter, transition_collapse_justifier,
+    transition_detects_reference, NDetectResult, TransitionAtpgResult, TransitionFault,
+    TransitionKind, TransitionPattern, TransitionSimulator,
 };
 pub use tview::TestView;

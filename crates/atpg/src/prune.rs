@@ -36,10 +36,9 @@ use flh_netlist::static_analysis::{analyze, pin_blocked, StaticAnalysis};
 use flh_netlist::{CellKind, CompiledCircuit};
 
 use crate::fault::{Fault, FaultSite};
-use crate::fsim::{order_stuck_faults, stuck_coverage_partitioned};
+use crate::fsim::order_stuck_faults;
 use crate::transition::{order_transition_faults, TransitionFault};
 use crate::tview::TestView;
-use flh_exec::ThreadPool;
 
 /// Fault classifier backed by the static analyses of one compiled circuit.
 pub struct StaticFilter {
@@ -174,30 +173,13 @@ pub fn order_transition_faults_pruned(
     )
 }
 
-/// Pruned stuck-at coverage: simulate only the kept faults and scatter the
-/// flags back to input order (pruned faults report undetected). Identical
-/// to `stuck_coverage` on the full list whenever the filter is sound.
-pub fn stuck_coverage_pruned(
-    view: &TestView<'_>,
-    filter: &StaticFilter,
-    faults: &[Fault],
-    patterns: &[Vec<bool>],
-    pool: &ThreadPool,
-) -> Vec<bool> {
-    let outcome = filter.prune_stuck(faults);
-    let kept_flags = stuck_coverage_partitioned(view, &outcome.kept, patterns, pool);
-    let mut flags = vec![false; faults.len()];
-    for (&i, &d) in outcome.kept_index.iter().zip(&kept_flags) {
-        flags[i] = d;
-    }
-    flags
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fault::{enumerate_stuck_faults, StuckValue};
+    use crate::fsim::stuck_coverage;
     use crate::transition::{enumerate_transition_faults, TransitionKind};
+    use flh_exec::ThreadPool;
     use flh_netlist::{CellKind, Netlist};
 
     /// g = And2(i0, const0) is constant-0 but observed; h = Xor2(i0, i1)
@@ -246,10 +228,15 @@ mod tests {
                     .collect()
             })
             .collect();
-        let pool = ThreadPool::serial();
-        let full = stuck_coverage_partitioned(&view, &faults, &patterns, &pool);
-        let pruned = stuck_coverage_pruned(&view, &filter, &faults, &patterns, &pool);
-        assert_eq!(full, pruned);
+        let full = stuck_coverage(&view, &faults, &patterns, &ThreadPool::serial());
+        // Simulating only the kept faults loses no detection.
+        let outcome = filter.prune_stuck(&faults);
+        let kept = stuck_coverage(&view, &outcome.kept, &patterns, &ThreadPool::serial());
+        let mut scattered = vec![false; faults.len()];
+        for (&i, &d) in outcome.kept_index.iter().zip(&kept) {
+            scattered[i] = d;
+        }
+        assert_eq!(full, scattered);
         // Soundness on the fixture: nothing pruned is ever detected.
         for (f, &d) in faults.iter().zip(&full) {
             if filter.stuck_untestable(f) {

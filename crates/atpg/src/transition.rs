@@ -16,7 +16,7 @@ use flh_netlist::{
 use flh_rng::Rng;
 
 use crate::fault::{Fault, StuckValue};
-use crate::fsim::{FaultStats, MIN_FAULTS_PER_SHARD, PATTERN_BLOCK};
+use crate::fsim::{simulate_windows, PATTERN_BLOCK, WINDOW_BLOCKS};
 use crate::podem::{Podem, PodemConfig};
 use crate::replay::DeviationReplay;
 use crate::tview::TestView;
@@ -404,15 +404,10 @@ impl<'v, 'a> TransitionSimulator<'v, 'a> {
 }
 
 /// Packs up to [`PATTERN_BLOCK`] pattern pairs into per-assignable
-/// superwords and returns the lane mask covering exactly the packed pairs.
-fn pack_pair_batch(
-    chunk: &[TransitionPattern],
-    n: usize,
-    v1_words: &mut [Packed256],
-    v2_words: &mut [Packed256],
-) -> Packed256 {
-    v1_words.fill(Packed256::bot());
-    v2_words.fill(Packed256::bot());
+/// superwords, with the lane mask covering exactly the packed pairs.
+fn pack_pair_batch(chunk: &[TransitionPattern], n: usize) -> PairBlock {
+    let mut v1_words = vec![Packed256::bot(); n];
+    let mut v2_words = vec![Packed256::bot(); n];
     for (lane, p) in chunk.iter().enumerate() {
         let (limb, bit) = (lane / 64, 1u64 << (lane % 64));
         for i in 0..n {
@@ -424,7 +419,7 @@ fn pack_pair_batch(
             }
         }
     }
-    Packed256::mask_lanes(chunk.len())
+    (v1_words, v2_words, Packed256::mask_lanes(chunk.len()))
 }
 
 /// Reorders a transition fault list **level-major by site** (ties broken
@@ -445,76 +440,27 @@ pub fn order_transition_faults(
     ordered
 }
 
-/// One worker's share of a partitioned pair campaign: a fresh simulator,
-/// the full pattern-pair set, a contiguous fault shard. Faults flagged in
-/// `dropped` were detected by an earlier call and are never replayed
-/// again; the shard's updated flags are merged back by the caller.
-fn pair_stats_shard(
+/// One packed block of up to [`PATTERN_BLOCK`] pattern pairs: V1 words,
+/// V2 words (one superword per assignable input) and the active-lane mask.
+pub(crate) type PairBlock = (Vec<Packed256>, Vec<Packed256>, Packed256);
+
+/// [`simulate_windows`] with the transition model: each shard runs its
+/// own [`TransitionSimulator`] over every pair block of a window.
+pub(crate) fn simulate_pair_windows(
     view: &TestView<'_>,
     faults: &[TransitionFault],
-    patterns: &[TransitionPattern],
-    mut dropped: Vec<bool>,
-) -> (Vec<FaultStats>, Vec<bool>) {
-    let mut sim = TransitionSimulator::new(view);
-    let mut stats = vec![FaultStats::default(); faults.len()];
-    let already: Vec<bool> = dropped.clone();
-    let n = view.assignable().len();
-    let mut v1_words = vec![Packed256::bot(); n];
-    let mut v2_words = vec![Packed256::bot(); n];
-    for (batch, chunk) in patterns.chunks(PATTERN_BLOCK).enumerate() {
-        let mask = pack_pair_batch(chunk, n, &mut v1_words, &mut v2_words);
-        let new_hits = sim.run_batch(&v1_words, &v2_words, mask, faults, &mut dropped);
-        if new_hits > 0 {
-            for ((s, &d), &pre) in stats.iter_mut().zip(&dropped).zip(&already) {
-                if d && !pre && !s.detected {
-                    s.detected = true;
-                    s.first_batch = Some(batch as u32);
-                }
-            }
-        }
-    }
-    (stats, dropped)
-}
-
-impl TransitionSimulator<'_, '_> {
-    /// Partitioned pattern-pair campaign: one contiguous fault shard per
-    /// pool worker, each on its own simulator, per-fault stats merged **by
-    /// fault id** (contiguous ascending shards, concatenated in partition
-    /// order — never completion order). Bit-identical at any pool size.
-    pub fn simulate_partitioned(
-        view: &TestView<'_>,
-        faults: &[TransitionFault],
-        patterns: &[TransitionPattern],
-        pool: &ThreadPool,
-    ) -> Vec<FaultStats> {
-        let mut drops = DropMask::new(faults.len());
-        Self::simulate_partitioned_dropping(view, faults, patterns, pool, &mut drops)
-    }
-
-    /// [`TransitionSimulator::simulate_partitioned`] with a persistent
-    /// [`DropMask`]: faults already dropped are skipped by every shard and
-    /// batch, and this call's detections are merged back into `drops`, so
-    /// a staged campaign (incremental pair blocks) never re-replays a
-    /// detected fault. Stats describe **this call only** — a fault dropped
-    /// by an earlier call reports `FaultStats::default()`.
-    pub fn simulate_partitioned_dropping(
-        view: &TestView<'_>,
-        faults: &[TransitionFault],
-        patterns: &[TransitionPattern],
-        pool: &ThreadPool,
-        drops: &mut DropMask,
-    ) -> Vec<FaultStats> {
-        assert_eq!(drops.len(), faults.len(), "drop mask length mismatch");
-        let parts = pool.run_partitioned_min(faults.len(), MIN_FAULTS_PER_SHARD, |range| {
-            pair_stats_shard(view, &faults[range.clone()], patterns, drops.shard(range))
-        });
-        let mut stats = Vec::with_capacity(faults.len());
-        for (range, (shard, flags)) in parts {
-            stats.extend(shard);
-            drops.merge_shard(range, &flags);
-        }
-        stats
-    }
+    pool: &ThreadPool,
+    next_window: impl FnMut(&DropMask) -> Option<Vec<PairBlock>>,
+) -> DropMask {
+    simulate_windows(
+        faults,
+        pool,
+        next_window,
+        || TransitionSimulator::new(view),
+        |sim, (v1, v2, mask), faults, detected| {
+            sim.run_batch(v1, v2, *mask, faults, detected);
+        },
+    )
 }
 
 /// Reference transition detection for one fault and one 64-pair batch:
@@ -555,43 +501,25 @@ pub fn transition_detects_reference(
 }
 
 /// Simulates a pattern-pair set against a fault list, returning per-fault
-/// detection flags. Serial ([`ThreadPool::serial`]) case of
-/// [`simulate_transition_patterns_partitioned`].
+/// detection flags. Pairs are packed one window at a time.
 pub fn simulate_transition_patterns(
     view: &TestView<'_>,
     faults: &[TransitionFault],
     patterns: &[TransitionPattern],
 ) -> Vec<bool> {
-    simulate_transition_patterns_partitioned(view, faults, patterns, &ThreadPool::serial())
-}
-
-/// Pooled [`simulate_transition_patterns`]: faults sharded over the pool,
-/// detection flags merged in fault-id order, identical at any pool size.
-pub fn simulate_transition_patterns_partitioned(
-    view: &TestView<'_>,
-    faults: &[TransitionFault],
-    patterns: &[TransitionPattern],
-    pool: &ThreadPool,
-) -> Vec<bool> {
-    TransitionSimulator::simulate_partitioned(view, faults, patterns, pool)
-        .into_iter()
-        .map(|s| s.detected)
-        .collect()
-}
-
-/// Staged [`simulate_transition_patterns_partitioned`]: detections
-/// accumulate in `drops` across calls, already-dropped faults are skipped
-/// by every shard, and the returned flags are the mask's state *after*
-/// this call (cumulative coverage, not per-call novelty).
-pub fn simulate_transition_patterns_dropping(
-    view: &TestView<'_>,
-    faults: &[TransitionFault],
-    patterns: &[TransitionPattern],
-    pool: &ThreadPool,
-    drops: &mut DropMask,
-) -> Vec<bool> {
-    TransitionSimulator::simulate_partitioned_dropping(view, faults, patterns, pool, drops);
-    drops.flags().to_vec()
+    let n = view.assignable().len();
+    let mut windows = patterns.chunks(WINDOW_BLOCKS * PATTERN_BLOCK);
+    simulate_pair_windows(view, faults, &ThreadPool::serial(), |_| {
+        let window = windows.next()?;
+        Some(
+            window
+                .chunks(PATTERN_BLOCK)
+                .map(|c| pack_pair_batch(c, n))
+                .collect(),
+        )
+    })
+    .flags()
+    .to_vec()
 }
 
 /// Result of a deterministic transition ATPG run.
@@ -601,7 +529,8 @@ pub struct TransitionAtpgResult {
     pub patterns: Vec<TransitionPattern>,
     /// Per-fault detection flags (aligned with the input fault list).
     pub detected: Vec<bool>,
-    /// Faults proven or declared untestable / aborted by PODEM.
+    /// Faults PODEM proved untestable or aborted on (or the static filter
+    /// pruned) that no generated pattern detected.
     pub untestable: usize,
 }
 
@@ -664,7 +593,7 @@ pub fn transition_atpg_with_filter(
     let podem = Podem::new(view, config.clone());
     let mut rng = Rng::seed_from_u64(seed);
     let mut detected = vec![false; faults.len()];
-    let mut untestable = 0usize;
+    let mut gave_up = vec![false; faults.len()];
     let mut patterns = Vec::new();
     let mut sim = TransitionSimulator::new(view);
     let n = view.assignable().len();
@@ -675,22 +604,16 @@ pub fn transition_atpg_with_filter(
         }
         let fault = faults[fi];
         if filter.is_some_and(|f| f.transition_untestable(&fault)) {
-            untestable += 1;
+            gave_up[fi] = true;
             continue;
         }
-        let v2_cube = match podem.generate(&fault.stuck_equivalent()) {
-            Some(c) => c,
-            None => {
-                untestable += 1;
-                continue;
-            }
+        let Some(v2_cube) = podem.generate(&fault.stuck_equivalent()) else {
+            gave_up[fi] = true;
+            continue;
         };
-        let v1_cube = match podem.justify(fault.site, fault.initial_value()) {
-            Some(c) => c,
-            None => {
-                untestable += 1;
-                continue;
-            }
+        let Some(v1_cube) = podem.justify(fault.site, fault.initial_value()) else {
+            gave_up[fi] = true;
+            continue;
         };
         let pattern = TransitionPattern {
             v1: v1_cube.fill_random(&mut rng),
@@ -717,10 +640,20 @@ pub fn transition_atpg_with_filter(
     }
 
     TransitionAtpgResult {
+        untestable: still_undetected(&gave_up, |fi| detected[fi]),
         patterns,
         detected,
-        untestable,
     }
+}
+
+/// Faults given up on (statically pruned, or PODEM returned no cube) that
+/// no pattern detected by the end of the run: a pair generated for a
+/// later fault may detect a fault PODEM aborted on, and that fault is
+/// detected, not untestable.
+fn still_undetected(gave_up: &[bool], detected: impl Fn(usize) -> bool) -> usize {
+    (0..gave_up.len())
+        .filter(|&fi| gave_up[fi] && !detected(fi))
+        .count()
 }
 
 /// Result of N-detect transition ATPG.
@@ -730,7 +663,8 @@ pub struct NDetectResult {
     pub patterns: Vec<TransitionPattern>,
     /// Detection count per fault (saturated at the requested N).
     pub counts: Vec<u32>,
-    /// Faults PODEM proved or abandoned as untestable.
+    /// Faults PODEM proved untestable or aborted on that no generated
+    /// pattern detected.
     pub untestable: usize,
 }
 
@@ -767,7 +701,7 @@ pub fn transition_atpg_ndetect(
     let podem = Podem::new(view, config.clone());
     let mut rng = Rng::seed_from_u64(seed);
     let mut counts = vec![0u32; faults.len()];
-    let mut untestable = 0usize;
+    let mut gave_up = vec![false; faults.len()];
     let mut patterns: Vec<TransitionPattern> = Vec::new();
     let mut sim = TransitionSimulator::new(view);
     let na = view.assignable().len();
@@ -778,11 +712,11 @@ pub fn transition_atpg_ndetect(
         }
         let fault = faults[fi];
         let Some(v2_cube) = podem.generate(&fault.stuck_equivalent()) else {
-            untestable += 1;
+            gave_up[fi] = true;
             continue;
         };
         let Some(v1_cube) = podem.justify(fault.site, fault.initial_value()) else {
-            untestable += 1;
+            gave_up[fi] = true;
             continue;
         };
         let mut last: Option<TransitionPattern> = None;
@@ -818,9 +752,9 @@ pub fn transition_atpg_ndetect(
     }
 
     NDetectResult {
+        untestable: still_undetected(&gave_up, |fi| counts[fi] > 0),
         patterns,
         counts,
-        untestable,
     }
 }
 
@@ -952,7 +886,7 @@ mod tests {
     }
 
     #[test]
-    fn partitioned_pair_simulation_matches_serial() {
+    fn pooled_pair_windows_match_serial() {
         let n = small();
         let view = TestView::new(&n).unwrap();
         let faults = enumerate_transition_faults(&n);
@@ -964,25 +898,17 @@ mod tests {
                 v2: (0..na).map(|_| rng.gen()).collect(),
             })
             .collect();
-        let serial = TransitionSimulator::simulate_partitioned(
-            &view,
-            &faults,
-            &patterns,
-            &ThreadPool::serial(),
-        );
-        let flags = simulate_transition_patterns(&view, &faults, &patterns);
-        for (s, &d) in serial.iter().zip(&flags) {
-            assert_eq!(s.detected, d);
-            assert_eq!(s.first_batch.is_some(), d);
-        }
-        for workers in [2, 4, 8] {
-            let pooled = TransitionSimulator::simulate_partitioned(
-                &view,
-                &faults,
-                &patterns,
-                &ThreadPool::new(workers),
+        let serial = simulate_transition_patterns(&view, &faults, &patterns);
+        for workers in [1, 2, 4, 8] {
+            let mut window = Some(
+                patterns
+                    .chunks(PATTERN_BLOCK)
+                    .map(|c| pack_pair_batch(c, na))
+                    .collect(),
             );
-            assert_eq!(pooled, serial, "workers = {workers}");
+            let pooled =
+                simulate_pair_windows(&view, &faults, &ThreadPool::new(workers), |_| window.take());
+            assert_eq!(pooled.flags(), serial.as_slice(), "workers = {workers}");
         }
     }
 
@@ -1267,42 +1193,26 @@ mod tests {
     }
 
     #[test]
-    fn dropping_across_calls_matches_one_shot_simulation() {
+    fn detections_persist_across_windows() {
+        // A pair set longer than one window equals the union of its
+        // window-aligned parts.
         let n = small();
         let view = TestView::new(&n).unwrap();
         let faults = enumerate_transition_faults(&n);
         let mut rng = Rng::seed_from_u64(55);
         let na = view.assignable().len();
-        let patterns: Vec<TransitionPattern> = (0..192)
+        let window = WINDOW_BLOCKS * PATTERN_BLOCK;
+        let patterns: Vec<TransitionPattern> = (0..window + 192)
             .map(|_| TransitionPattern {
                 v1: (0..na).map(|_| rng.gen()).collect(),
                 v2: (0..na).map(|_| rng.gen()).collect(),
             })
             .collect();
         let whole = simulate_transition_patterns(&view, &faults, &patterns);
-        let mut drops = flh_exec::DropMask::new(faults.len());
-        let mut staged = Vec::new();
-        for block in patterns.chunks(80) {
-            staged = simulate_transition_patterns_dropping(
-                &view,
-                &faults,
-                block,
-                &ThreadPool::new(3),
-                &mut drops,
-            );
-        }
-        assert_eq!(staged, whole);
-        // Replaying covered patterns reports no new detections.
-        let again = TransitionSimulator::simulate_partitioned_dropping(
-            &view,
-            &faults,
-            &patterns,
-            &ThreadPool::serial(),
-            &mut drops,
-        );
-        for (s, &d) in again.iter().zip(&whole) {
-            assert!(!s.detected || !d, "dropped fault was re-detected");
-        }
+        let first = simulate_transition_patterns(&view, &faults, &patterns[..window]);
+        let rest = simulate_transition_patterns(&view, &faults, &patterns[window..]);
+        let union: Vec<bool> = first.iter().zip(&rest).map(|(&a, &b)| a || b).collect();
+        assert_eq!(whole, union);
     }
 
     #[test]

@@ -13,6 +13,7 @@ use flh_bench::{build_circuit, rule};
 use flh_bist::controller::run_test_per_scan;
 use flh_bist::BistConfig;
 use flh_core::{apply_style, DftStyle};
+use flh_exec::ThreadPool;
 use flh_netlist::iscas89_profiles;
 
 fn main() {
@@ -39,7 +40,7 @@ fn main() {
 
         let view = TestView::new(&flh.netlist).expect("view");
         let faults = enumerate_stuck_faults(&flh.netlist);
-        let detected = stuck_coverage(&view, &faults, &out_flh.applied)
+        let detected = stuck_coverage(&view, &faults, &out_flh.applied, &ThreadPool::serial())
             .iter()
             .filter(|&&d| d)
             .count();

@@ -26,8 +26,8 @@ use std::time::Instant;
 
 use flh_atpg::{
     enumerate_stuck_faults, enumerate_transition_faults, order_stuck_faults,
-    order_transition_faults, stuck_coverage_partitioned, Fault, FaultSite, StuckSimulator,
-    TestView, TransitionSimulator, PATTERN_BLOCK,
+    order_transition_faults, stuck_coverage, Fault, FaultSite, StuckSimulator, TestView,
+    TransitionSimulator, PATTERN_BLOCK,
 };
 use flh_bench::build_circuit;
 use flh_bench::replay64::{StuckSimulator64, TransitionSimulator64};
@@ -309,7 +309,7 @@ struct ParallelFsimResult {
     patterns_s: Vec<f64>,
 }
 
-/// Full-campaign stuck-at fault simulation ([`stuck_coverage_partitioned`])
+/// Full-campaign stuck-at fault simulation ([`stuck_coverage`])
 /// at several pool widths. Detection maps are asserted identical across
 /// widths; throughput is whatever the host actually delivers — on a
 /// single-core container the wider pools gain nothing and the numbers say
@@ -334,7 +334,7 @@ fn bench_parallel_fsim(
     for &w in workers {
         let pool = ThreadPool::new(w);
         let t0 = Instant::now();
-        let detected = stuck_coverage_partitioned(&view, faults, &pattern_set, &pool);
+        let detected = stuck_coverage(&view, faults, &pattern_set, &pool);
         let elapsed = t0.elapsed().as_secs_f64();
         match &reference {
             None => reference = Some(detected),

@@ -13,6 +13,7 @@ use flh_atpg::{
     cycles_per_pattern, pairs_to_reach_coverage, random_transition_campaign, ApplicationStyle,
 };
 use flh_bench::{build_circuit, rule};
+use flh_exec::ThreadPool;
 use flh_netlist::iscas89_profiles;
 
 fn main() {
@@ -32,9 +33,14 @@ fn main() {
         let load = circuit.flip_flops().len();
 
         // Coverage ceiling of broadside at the full budget.
-        let ceiling =
-            random_transition_campaign(&circuit, ApplicationStyle::Broadside, BUDGET, SEED)
-                .expect("campaign");
+        let ceiling = random_transition_campaign(
+            &circuit,
+            ApplicationStyle::Broadside,
+            BUDGET,
+            SEED,
+            &ThreadPool::serial(),
+        )
+        .expect("campaign");
         let target = ceiling.coverage_pct();
 
         let mut row: Vec<(ApplicationStyle, u64)> = Vec::new();

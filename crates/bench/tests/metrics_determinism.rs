@@ -14,7 +14,7 @@
 //! One `#[test]` only: the flh-obs registry is process-global and this
 //! file is its own test process.
 
-use flh_atpg::{random_transition_campaign_pooled, ApplicationStyle, CampaignResult};
+use flh_atpg::{random_transition_campaign, ApplicationStyle, CampaignResult};
 use flh_bench::build_circuit;
 use flh_exec::ThreadPool;
 use flh_netlist::iscas89_profile;
@@ -40,7 +40,7 @@ fn deterministic_metrics_are_pool_width_invariant() {
         let results: Vec<CampaignResult> = styles
             .iter()
             .map(|&style| {
-                random_transition_campaign_pooled(&netlist, style, PAIRS, SEED, &pool)
+                random_transition_campaign(&netlist, style, PAIRS, SEED, &pool)
                     .expect("acyclic benchmark circuit")
             })
             .collect();

@@ -6,21 +6,19 @@
 //! function of its inputs only — never of the worker count. This test
 //! holds the contract to its word on all three batch surfaces:
 //!
-//! * stuck-at detection maps and per-fault stats
-//!   ([`flh_atpg::stuck_coverage_partitioned`] /
-//!   [`StuckSimulator::simulate_partitioned`]);
-//! * transition-fault coverage
-//!   ([`flh_atpg::simulate_transition_patterns_partitioned`]);
+//! * stuck-at detection maps ([`flh_atpg::stuck_coverage`]);
+//! * transition-fault campaign coverage under every application style
+//!   ([`flh_atpg::transition_campaign_filtered`]);
 //! * power toggle counts ([`flh_power::random_activity_sharded`]);
 //!
 //! each at pool sizes 1, 2, 4 and 8, compared with `assert_eq` — toggle
 //! counts are integers and detection maps are booleans, so "identical"
 //! means identical, not approximately equal.
 
-use flh_atpg::transition::{enumerate_transition_faults, TransitionPattern};
+use flh_atpg::transition::enumerate_transition_faults;
 use flh_atpg::{
-    enumerate_stuck_faults, simulate_transition_patterns_partitioned, stuck_coverage_partitioned,
-    StuckSimulator, TestView, TransitionSimulator,
+    enumerate_stuck_faults, stuck_coverage, transition_campaign_filtered, ApplicationStyle,
+    TestView,
 };
 use flh_bench::build_circuit;
 use flh_core::{apply_style, DftStyle};
@@ -55,65 +53,48 @@ fn pooled_campaigns_match_serial_on_large_circuits_and_all_styles() {
             let na = view.assignable().len();
             let mut rng = Rng::seed_from_u64(0xE9 + si as u64);
 
-            // Stuck-at detection maps and per-fault stats.
+            // Stuck-at detection maps.
             let stuck = subsample(&enumerate_stuck_faults(n), MAX_FAULTS);
             let patterns: Vec<Vec<bool>> = (0..PATTERNS)
                 .map(|_| (0..na).map(|_| rng.gen()).collect())
                 .collect();
-            let stuck_serial =
-                stuck_coverage_partitioned(&view, &stuck, &patterns, &ThreadPool::serial());
-            let stats_serial = StuckSimulator::simulate_partitioned(
-                &view,
-                &stuck,
-                &patterns,
-                &ThreadPool::serial(),
-            );
+            let stuck_serial = stuck_coverage(&view, &stuck, &patterns, &ThreadPool::serial());
             for &workers in &POOLS {
                 let pool = ThreadPool::new(workers);
                 assert_eq!(
-                    stuck_coverage_partitioned(&view, &stuck, &patterns, &pool),
+                    stuck_coverage(&view, &stuck, &patterns, &pool),
                     stuck_serial,
                     "{circuit_name} / {style}: stuck detection map diverged at {workers} workers"
                 );
-                assert_eq!(
-                    StuckSimulator::simulate_partitioned(&view, &stuck, &patterns, &pool),
-                    stats_serial,
-                    "{circuit_name} / {style}: stuck fault stats diverged at {workers} workers"
-                );
             }
 
-            // Transition-fault coverage over random pattern pairs.
+            // Transition-fault campaign coverage over random pattern pairs.
             let transition = subsample(&enumerate_transition_faults(n), MAX_FAULTS);
-            let pairs: Vec<TransitionPattern> = (0..PATTERNS)
-                .map(|_| TransitionPattern {
-                    v1: (0..na).map(|_| rng.gen()).collect(),
-                    v2: (0..na).map(|_| rng.gen()).collect(),
-                })
-                .collect();
-            let transition_serial = simulate_transition_patterns_partitioned(
-                &view,
-                &transition,
-                &pairs,
-                &ThreadPool::serial(),
-            );
-            let transition_stats = TransitionSimulator::simulate_partitioned(
-                &view,
-                &transition,
-                &pairs,
-                &ThreadPool::serial(),
-            );
-            for &workers in &POOLS {
-                let pool = ThreadPool::new(workers);
-                assert_eq!(
-                    simulate_transition_patterns_partitioned(&view, &transition, &pairs, &pool),
-                    transition_serial,
-                    "{circuit_name} / {style}: transition coverage diverged at {workers} workers"
-                );
-                assert_eq!(
-                    TransitionSimulator::simulate_partitioned(&view, &transition, &pairs, &pool),
-                    transition_stats,
-                    "{circuit_name} / {style}: transition stats diverged at {workers} workers"
-                );
+            for app in [
+                ApplicationStyle::ArbitraryTwoPattern,
+                ApplicationStyle::Broadside,
+                ApplicationStyle::SkewedLoad,
+            ] {
+                let seed = 0xE9 + si as u64;
+                let campaign = |pool: &ThreadPool| {
+                    transition_campaign_filtered(
+                        &view,
+                        &transition,
+                        app,
+                        PATTERNS,
+                        seed,
+                        pool,
+                        None,
+                    )
+                };
+                let transition_serial = campaign(&ThreadPool::serial());
+                for &workers in &POOLS {
+                    assert_eq!(
+                        campaign(&ThreadPool::new(workers)),
+                        transition_serial,
+                        "{circuit_name} / {style} / {app}: transition coverage diverged at {workers} workers"
+                    );
+                }
             }
 
             // Power toggle counts under sharded activity collection; FLH

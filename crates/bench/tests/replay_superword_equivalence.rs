@@ -19,6 +19,7 @@ use flh_atpg::{
 use flh_bench::build_circuit;
 use flh_bench::replay64::{stuck_coverage64, transition_coverage64};
 use flh_core::{apply_style, DftStyle};
+use flh_exec::ThreadPool;
 use flh_netlist::{iscas89_profiles, LaneWord, Packed256, PatternWord};
 use flh_rng::Rng;
 
@@ -53,7 +54,7 @@ fn superword_replay_matches_four_word_replays_across_profiles_and_styles() {
             let patterns: Vec<Vec<bool>> = (0..PATTERNS)
                 .map(|_| (0..na).map(|_| rng.gen()).collect())
                 .collect();
-            let wide = stuck_coverage(&view, &stuck, &patterns);
+            let wide = stuck_coverage(&view, &stuck, &patterns, &ThreadPool::serial());
             let narrow = stuck_coverage64(&view, &stuck, &patterns);
             assert_eq!(
                 wide, narrow,

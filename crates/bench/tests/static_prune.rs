@@ -21,8 +21,8 @@
 
 use flh_atpg::{
     enumerate_stuck_faults, enumerate_transition_faults, order_stuck_faults,
-    order_stuck_faults_pruned, simulate_transition_patterns, stuck_coverage, transition_atpg,
-    transition_atpg_with_filter, transition_campaign_filtered, transition_campaign_with_view,
+    order_stuck_faults_pruned, random_transition_campaign, simulate_transition_patterns,
+    stuck_coverage, transition_atpg, transition_atpg_with_filter, transition_campaign_filtered,
     ApplicationStyle, PodemConfig, StaticFilter, TestView, TransitionPattern,
 };
 use flh_bench::build_circuit;
@@ -68,7 +68,7 @@ fn assert_prune_sound(netlist: &Netlist, label: &str) {
 
     let stuck = subsample(&enumerate_stuck_faults(netlist), MAX_FAULTS);
     let patterns = random_vectors(&mut rng, width, STUCK_PATTERNS);
-    let detected = stuck_coverage(&view, &stuck, &patterns);
+    let detected = stuck_coverage(&view, &stuck, &patterns, &ThreadPool::serial());
     for (f, &d) in stuck.iter().zip(&detected) {
         assert!(
             !(d && filter.stuck_untestable(f)),
@@ -178,11 +178,11 @@ fn pruned_stuck_ordering_preserves_coverage() {
 
         let mut rng = Rng::seed_from_u64(0xC0DE);
         let patterns = random_vectors(&mut rng, view.assignable().len(), STUCK_PATTERNS);
-        let full: usize = stuck_coverage(&view, &baseline, &patterns)
+        let full: usize = stuck_coverage(&view, &baseline, &patterns, &ThreadPool::serial())
             .iter()
             .filter(|&&d| d)
             .count();
-        let kept: usize = stuck_coverage(&view, &pruned, &patterns)
+        let kept: usize = stuck_coverage(&view, &pruned, &patterns, &ThreadPool::serial())
             .iter()
             .filter(|&&d| d)
             .count();
@@ -236,8 +236,8 @@ fn pruned_campaign_is_identical_to_unpruned() {
                 transition_campaign_filtered(&view, &faults, style, PAIRS, 7, &pool, None);
             let filtered =
                 transition_campaign_filtered(&view, &faults, style, PAIRS, 7, &pool, Some(&filter));
-            let default_path =
-                transition_campaign_with_view(&view, &faults, style, PAIRS, 7, &pool);
+            let default_path = random_transition_campaign(&netlist, style, PAIRS, 7, &pool)
+                .expect("acyclic benchmark circuit");
             assert_eq!(unfiltered, filtered, "{name}/{style:?}");
             assert_eq!(default_path, filtered, "{name}/{style:?}");
         }

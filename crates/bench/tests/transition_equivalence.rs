@@ -12,14 +12,13 @@
 //! * per-batch detected flags (`run_batch`);
 //! * N-detect hit counts (`run_batch_counting`, whose replay runs to
 //!   quiescence — the early-exit path must not leak into the counts);
-//! * whole-campaign coverage (`simulate_transition_patterns_partitioned`
-//!   at pools 1, 2 and 4, and the end-to-end
-//!   [`random_transition_campaign_pooled`] vs its serial twin).
+//! * whole-set coverage ([`simulate_transition_patterns`]) and the
+//!   end-to-end [`random_transition_campaign`] at pools 1, 2 and 4 vs its
+//!   serial run.
 
 use flh_atpg::{
-    enumerate_transition_faults, random_transition_campaign, random_transition_campaign_pooled,
-    simulate_transition_patterns_partitioned, ApplicationStyle, TestView, TransitionFault,
-    TransitionPattern, TransitionSimulator,
+    enumerate_transition_faults, random_transition_campaign, simulate_transition_patterns,
+    ApplicationStyle, TestView, TransitionFault, TransitionPattern, TransitionSimulator,
 };
 use flh_bench::build_circuit;
 use flh_bench::transition_baseline::{baseline_transition_detects, BaselineTransitionSimulator};
@@ -90,20 +89,17 @@ fn event_driven_transition_sim_matches_legacy_full_cone() {
             let pairs = random_pairs(&mut rng, na, PAIRS);
 
             // Whole-set detection: legacy serial full-cone vs the
-            // event-driven path at every pool width.
+            // event-driven path.
             let legacy = baseline_transition_detects(&view, &faults, &pairs);
             assert!(
                 legacy.iter().any(|&d| d),
                 "{circuit_name} / {style}: campaign detected nothing"
             );
-            for &workers in &POOLS {
-                let pool = ThreadPool::new(workers);
-                assert_eq!(
-                    simulate_transition_patterns_partitioned(&view, &faults, &pairs, &pool),
-                    legacy,
-                    "{circuit_name} / {style}: coverage diverged from legacy at {workers} workers"
-                );
-            }
+            assert_eq!(
+                simulate_transition_patterns(&view, &faults, &pairs),
+                legacy,
+                "{circuit_name} / {style}: coverage diverged from legacy"
+            );
 
             // Single-batch detected flags and N-detect hit counts. The
             // legacy replica is 64-lane; the event-driven side takes the
@@ -159,10 +155,16 @@ fn pooled_campaign_coverage_matches_serial() {
         let dft = apply_style(&circuit, style).unwrap_or_else(|e| panic!("{style}: {e}"));
         let n = &dft.netlist;
         let seed = 0xCA4 + si as u64;
-        let serial = random_transition_campaign(n, ApplicationStyle::ArbitraryTwoPattern, 48, seed)
-            .expect("campaign runs");
+        let serial = random_transition_campaign(
+            n,
+            ApplicationStyle::ArbitraryTwoPattern,
+            48,
+            seed,
+            &ThreadPool::serial(),
+        )
+        .expect("campaign runs");
         for &workers in &POOLS {
-            let pooled = random_transition_campaign_pooled(
+            let pooled = random_transition_campaign(
                 n,
                 ApplicationStyle::ArbitraryTwoPattern,
                 48,

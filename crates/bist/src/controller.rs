@@ -215,6 +215,7 @@ mod tests {
     use super::*;
     use flh_atpg::{enumerate_stuck_faults, stuck_coverage, TestView};
     use flh_core::{apply_style, DftStyle};
+    use flh_exec::ThreadPool;
     use flh_netlist::{generate_circuit, GeneratorConfig};
 
     fn circuit() -> Netlist {
@@ -275,7 +276,7 @@ mod tests {
         // Which stuck-at faults should this pseudo-random set catch?
         let view = TestView::new(&flh.netlist).unwrap();
         let faults = enumerate_stuck_faults(&flh.netlist);
-        let expected = stuck_coverage(&view, &faults, &outcome.applied);
+        let expected = stuck_coverage(&view, &faults, &outcome.applied, &ThreadPool::serial());
 
         // Sample the fault list and compare against signatures (aliasing
         // probability ~2^-32 is negligible at this sample size).
@@ -299,7 +300,7 @@ mod tests {
         let coverage = |patterns: usize| -> usize {
             let cfg = BistConfig::with_patterns(patterns);
             let outcome = run_test_per_scan(&flh, &mech, &cfg).unwrap();
-            stuck_coverage(&view, &faults, &outcome.applied)
+            stuck_coverage(&view, &faults, &outcome.applied, &ThreadPool::serial())
                 .iter()
                 .filter(|&&d| d)
                 .count()

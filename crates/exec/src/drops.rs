@@ -3,8 +3,8 @@
 //! A fault-simulation campaign drops a fault the moment it is detected:
 //! later batches and later calls must never replay it again. Inside one
 //! shard that is a local `detected` flag — but a campaign that runs in
-//! *stages* (incremental pattern blocks, repeated pooled calls) needs the
-//! flags to survive between calls and to round-trip through the shard
+//! *stages* (the pattern windows of a streaming campaign) needs the flags
+//! to survive between stages and to round-trip through the shard
 //! partitioning. [`DropMask`] is that persistent flag set: shards borrow a
 //! contiguous snapshot of it on the way in ([`DropMask::shard`]) and merge
 //! their updated flags back by range on the way out

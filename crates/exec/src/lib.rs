@@ -1,6 +1,5 @@
-//! Execution layer: a dependency-free, deterministic scoped thread pool
-//! plus the [`Campaign`] fan-out abstraction the batch APIs of the
-//! workspace are built on.
+//! Execution layer: the dependency-free, deterministic scoped thread pool
+//! the batch APIs of the workspace are built on.
 //!
 //! The paper's evaluation is embarrassingly parallel at two granularities
 //! — across circuit × holding-style cells, and across fault/vector
@@ -20,7 +19,7 @@
 //! * **Deterministic merge** — results are collected in index/partition
 //!   order, never in completion order;
 //! * **Independent units** — a job may only read shared immutable state
-//!   (e.g. an `Arc<CompiledCircuit>` held by a [`Campaign`]); all mutable
+//!   (e.g. a compiled circuit borrowed by every shard); all mutable
 //!   state is job-local and returned by value.
 //!
 //! The worker count defaults to the `FLH_THREADS` environment variable and
@@ -37,12 +36,10 @@
 
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 
-pub mod campaign;
 pub mod drops;
 pub mod pool;
 pub mod queue;
 
-pub use campaign::Campaign;
 pub use drops::DropMask;
 pub use pool::{ThreadPool, THREADS_ENV};
 pub use queue::{BoundedQueue, PushError};

@@ -16,9 +16,7 @@
 //!   large circuit can come out below the unmodified baseline (the
 //!   paper's s13207 observation).
 
-use std::sync::Arc;
-
-use flh_exec::{Campaign, ThreadPool};
+use flh_exec::ThreadPool;
 use flh_netlist::{CellId, CellKind, CompiledCircuit, Netlist};
 use flh_rng::Rng;
 use flh_sim::{Activity, CompiledSim, Logic};
@@ -300,14 +298,14 @@ fn collect_activity_shard(
 }
 
 /// Sharded random-vector activity collection: `vectors` is cut into
-/// `shard_vectors`-sized shards (the last one smaller), shard `k` runs as
-/// an independent collector seeded [`shard_seed`]`(seed, k)`, and the
-/// toggle counts are summed **in shard-index order** over a
-/// [`Campaign`] on `pool`. The shard structure depends only on
-/// `(vectors, shard_vectors)` — never on the pool — so toggle counts are
-/// bit-identical at any pool size (integer sums, no float order effects).
+/// `shard_vectors`-sized shards (the last one smaller), shard `k` runs on
+/// `pool` as an independent collector seeded [`shard_seed`]`(seed, k)`,
+/// and the toggle counts are summed **in shard-index order**. The shard
+/// structure depends only on `(vectors, shard_vectors)` — never on the
+/// pool — so toggle counts are bit-identical at any pool size (integer
+/// sums, no float order effects).
 pub fn random_activity_sharded(
-    compiled: &Arc<CompiledCircuit>,
+    compiled: &CompiledCircuit,
     gated: Option<&[CellId]>,
     vectors: usize,
     seed: u64,
@@ -316,8 +314,7 @@ pub fn random_activity_sharded(
 ) -> Activity {
     let shard_vectors = shard_vectors.max(1);
     let shards = vectors.div_ceil(shard_vectors).max(1);
-    let campaign = Campaign::with_arc(Arc::clone(compiled), pool.clone());
-    let parts = campaign.run_cells(shards, |compiled, k| {
+    let parts = pool.run(shards, |k| {
         let lo = k * shard_vectors;
         let hi = ((k + 1) * shard_vectors).min(vectors);
         collect_activity_shard(compiled, gated, hi - lo, shard_seed(seed, k as u64))

@@ -24,7 +24,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use flh_atpg::transition::enumerate_transition_faults;
-use flh_atpg::{transition_campaign_with_view, TestView};
+use flh_atpg::{transition_campaign_filtered, StaticFilter, TestView};
 use flh_core::evaluate_style;
 use flh_exec::ThreadPool;
 
@@ -155,14 +155,22 @@ impl JobEngine {
                     Err(e) => return fail(e.to_string(), emit),
                 };
                 let faults = enumerate_transition_faults(&entry.netlist);
+                // One static analysis per job, shared by every style.
+                let filter = StaticFilter::from_view(&view);
                 let pairs_total = styles.len() * *pairs;
                 let mut pairs_done = 0usize;
                 for (index, &style) in styles.iter().enumerate() {
                     // Lands in Progress fields that are absent by default;
                     // time-ok: sampled only when --timings opted in.
                     let batch_start = self.timings.then(std::time::Instant::now);
-                    let result = transition_campaign_with_view(
-                        &view, &faults, style, *pairs, *seed, &self.pool,
+                    let result = transition_campaign_filtered(
+                        &view,
+                        &faults,
+                        style,
+                        *pairs,
+                        *seed,
+                        &self.pool,
+                        Some(&filter),
                     );
                     pairs_done += *pairs;
                     if flh_obs::enabled() {

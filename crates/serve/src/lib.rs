@@ -47,7 +47,7 @@ pub use job::{
     JobSpec, ProgressTiming, ALL_APPLICATION_STYLES,
 };
 pub use json::{parse_json, render, Json};
-pub use proto::{parse_request, render_request, Request};
+pub use proto::{parse_request, render_request, Request, MAX_EVAL_VECTORS, MAX_PAIRS};
 #[cfg(unix)]
 pub use server::serve_unix_socket;
 pub use server::{serve_lines, ServeConfig};

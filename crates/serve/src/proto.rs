@@ -80,6 +80,16 @@ pub enum Request {
     Shutdown,
 }
 
+/// Most pattern pairs one campaign submission may ask for. Campaign
+/// memory does not grow with `pairs` (the pair stream is simulated one
+/// window at a time), but run time does: the bound keeps one request
+/// from holding the session's executor indefinitely.
+pub const MAX_PAIRS: usize = 1 << 20;
+
+/// Most random vectors one `eval` submission may ask for, for the same
+/// reason.
+pub const MAX_EVAL_VECTORS: usize = 1 << 16;
+
 const ALL_DFT_STYLES: [DftStyle; 4] = [
     DftStyle::PlainScan,
     DftStyle::EnhancedScan,
@@ -116,6 +126,18 @@ fn field_u64(
         Some(other) => Err(format!(
             "{key} must be a non-negative integer, got {other:?}"
         )),
+    }
+}
+
+/// A `u64` request field as a `usize`, rejected above `max`.
+fn field_at_most(
+    map: &std::collections::BTreeMap<String, Json>,
+    key: &str,
+    max: usize,
+) -> Result<Option<usize>, String> {
+    match field_u64(map, key)? {
+        Some(v) if v > max as u64 => Err(format!("{key} must be at most {max}, got {v}")),
+        v => Ok(v.map(|v| v as usize)),
     }
 }
 
@@ -175,8 +197,8 @@ fn parse_submit(map: &std::collections::BTreeMap<String, Json>) -> Result<Reques
             if let Some(list) = styles {
                 spec = spec.with_styles(parse_application_styles(&list)?);
             }
-            if let Some(pairs) = field_u64(map, "pairs")? {
-                spec = spec.with_pairs(pairs as usize);
+            if let Some(pairs) = field_at_most(map, "pairs", MAX_PAIRS)? {
+                spec = spec.with_pairs(pairs);
             }
             if let Some(seed) = field_u64(map, "seed")? {
                 spec = spec.with_seed(seed);
@@ -215,8 +237,8 @@ fn parse_submit(map: &std::collections::BTreeMap<String, Json>) -> Result<Reques
                 }
             };
             let mut config = EvalConfig::paper_default();
-            if let Some(vectors) = field_u64(map, "vectors")? {
-                config.vectors = vectors as usize;
+            if let Some(vectors) = field_at_most(map, "vectors", MAX_EVAL_VECTORS)? {
+                config.vectors = vectors;
             }
             Ok(Request::Submit(JobSpec::evaluate(source, styles, config)))
         }

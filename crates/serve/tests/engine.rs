@@ -5,7 +5,7 @@
 
 use std::sync::Arc;
 
-use flh_atpg::{random_transition_campaign_pooled, ApplicationStyle};
+use flh_atpg::{random_transition_campaign, ApplicationStyle};
 use flh_exec::ThreadPool;
 use flh_netlist::iscas89_profile;
 use flh_serve::{
@@ -38,7 +38,7 @@ fn engine_campaign_matches_direct_pooled_campaign() {
     let netlist = CircuitSource::profile(profile)
         .load()
         .expect("builtin circuit generates");
-    let direct = random_transition_campaign_pooled(
+    let direct = random_transition_campaign(
         &netlist,
         ApplicationStyle::ArbitraryTwoPattern,
         PAIRS,

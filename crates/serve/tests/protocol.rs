@@ -9,6 +9,7 @@ use std::sync::Arc;
 use flh_exec::ThreadPool;
 use flh_serve::{
     parse_json, parse_request, render_request, serve_lines, JobEngine, Json, ServeConfig,
+    MAX_EVAL_VECTORS, MAX_PAIRS,
 };
 
 /// Runs one scripted session over in-memory buffers and returns the
@@ -126,6 +127,52 @@ fn malformed_requests_get_error_replies_not_panics() {
         bye.contains(r#""bye""#) && bye.contains(r#""submitted":0"#),
         "{bye}"
     );
+}
+
+#[test]
+fn oversized_requests_are_rejected_and_the_session_stays_usable() {
+    let script = format!(
+        concat!(
+            "{{\"op\":\"submit\",\"circuit\":\"s298\",\"pairs\":{big_pairs}}}\n",
+            "{{\"op\":\"submit\",\"circuit\":\"s298\",\"kind\":\"eval\",\"vectors\":{big_vectors}}}\n",
+            "{{\"op\":\"submit\",\"circuit\":\"s298\",\"pairs\":{max_pairs},\"styles\":\"bogus\"}}\n",
+            "{{\"op\":\"submit\",\"circuit\":\"s298\",\"pairs\":32,\"seed\":7}}\n",
+            "{{\"op\":\"wait\"}}\n",
+            "{{\"op\":\"shutdown\"}}\n",
+        ),
+        big_pairs = MAX_PAIRS + 1,
+        big_vectors = MAX_EVAL_VECTORS + 1,
+        max_pairs = MAX_PAIRS,
+    );
+    let lines = transcript(&script, 1);
+    let errors: Vec<_> = lines
+        .iter()
+        .filter(|l| l.starts_with(r#"{"error""#))
+        .collect();
+    assert_eq!(errors.len(), 3, "{lines:#?}");
+    assert!(
+        errors[0].contains(&format!("pairs must be at most {MAX_PAIRS}")),
+        "{}",
+        errors[0]
+    );
+    assert!(
+        errors[1].contains(&format!("vectors must be at most {MAX_EVAL_VECTORS}")),
+        "{}",
+        errors[1]
+    );
+    // Exactly at the bound is accepted: that line fails on its style.
+    assert!(
+        errors[2].contains("unknown application style"),
+        "{}",
+        errors[2]
+    );
+    // The session still runs the valid submission after the rejections.
+    assert!(
+        lines.iter().any(|l| l.contains(r#""event":"done""#)),
+        "{lines:#?}"
+    );
+    let bye = lines.last().expect("bye line");
+    assert!(bye.contains(r#""submitted":1"#), "{bye}");
 }
 
 /// The scripted session the cache and width tests share: two distinct

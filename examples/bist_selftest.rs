@@ -9,6 +9,7 @@ use flh::atpg::{enumerate_stuck_faults, stuck_coverage, TestView};
 use flh::bist::controller::run_test_per_scan;
 use flh::bist::{run_stumps, signature_detects_fault, BistConfig};
 use flh::core::{apply_style, DftStyle};
+use flh::exec::ThreadPool;
 use flh::netlist::{generate_circuit, iscas89_profile};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -41,7 +42,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // What does the pseudo-random set actually catch?
     let view = TestView::new(&flh.netlist)?;
     let faults = enumerate_stuck_faults(&flh.netlist);
-    let detected_flags = stuck_coverage(&view, &faults, &single.applied);
+    let detected_flags = stuck_coverage(&view, &faults, &single.applied, &ThreadPool::serial());
     let detected = detected_flags.iter().filter(|&&d| d).count();
     println!(
         "pseudo-random stuck-at coverage: {}/{} ({:.1}%)",

@@ -10,6 +10,7 @@ use flh::atpg::{
     diagnose, enumerate_stuck_faults, faulty_responses, stuck_coverage, Fault, TestView,
 };
 use flh::core::{apply_style, DftStyle};
+use flh::exec::ThreadPool;
 use flh::netlist::{generate_circuit, iscas89_profile};
 use flh_rng::Rng;
 
@@ -28,7 +29,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Secretly break the die.
     let faults = enumerate_stuck_faults(&scanned.netlist);
-    let detected = stuck_coverage(&view, &faults, &patterns);
+    let detected = stuck_coverage(&view, &faults, &patterns, &ThreadPool::serial());
     let culprit: Fault = faults
         .iter()
         .zip(&detected)

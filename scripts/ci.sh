@@ -9,6 +9,11 @@ cd "$(dirname "$0")/.."
 echo "== build (release, all crates) =="
 cargo build --release --workspace --offline
 
+echo "== build (release, perfbench) =="
+# perfbench is its own package outside the workspace; building it here
+# turns a removed public item it uses into a CI failure.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
 # Strips everything timing- or build-dependent from a `cargo test` log so
 # two runs can be diffed: wall-clock suffixes and cargo's compile chatter.
 normalize() {
@@ -96,6 +101,18 @@ FLH_THREADS=4 cargo run -q --release --offline --bin flh -- \
     --metrics-det-json "$bench_tmp/metrics_w4.json" >/dev/null
 if ! diff "$bench_tmp/metrics_w1.json" "$bench_tmp/metrics_w4.json"; then
     echo "METRICS GATE FAILED: deterministic metrics depend on FLH_THREADS" >&2
+    exit 1
+fi
+# 4352 pairs = 17 pair blocks: the campaign spans two simulation windows,
+# so detections cross a window boundary through the persistent drop mask.
+FLH_THREADS=1 cargo run -q --release --offline --bin flh -- \
+    campaign s1423 --pairs 4352 --seed 7 \
+    --metrics-det-json "$bench_tmp/metrics_windows_w1.json" >/dev/null
+FLH_THREADS=4 cargo run -q --release --offline --bin flh -- \
+    campaign s1423 --pairs 4352 --seed 7 \
+    --metrics-det-json "$bench_tmp/metrics_windows_w4.json" >/dev/null
+if ! diff "$bench_tmp/metrics_windows_w1.json" "$bench_tmp/metrics_windows_w4.json"; then
+    echo "METRICS GATE FAILED: multi-window campaign metrics depend on FLH_THREADS" >&2
     exit 1
 fi
 echo "identical deterministic metrics at both pool widths"

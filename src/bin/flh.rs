@@ -342,7 +342,7 @@ fn check_prune_consistency(circuit: &Netlist) -> Result<(), String> {
 
     let stuck = enumerate_stuck_faults(circuit);
     let patterns: Vec<Vec<bool>> = (0..PATTERNS).map(|_| random_vec(&mut rng)).collect();
-    let detected = stuck_coverage(&view, &stuck, &patterns);
+    let detected = stuck_coverage(&view, &stuck, &patterns, &ThreadPool::serial());
     let stuck_bad = stuck
         .iter()
         .zip(&detected)

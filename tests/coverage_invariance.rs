@@ -86,3 +86,30 @@ fn stuck_at_universe_is_stable_under_flh() {
     let cb = collapse_faults(&flh.netlist, &b);
     assert_eq!(ca.len(), cb.len());
 }
+
+/// A fault PODEM gave up on but a later pair detected is detected, not
+/// untestable: detected and untestable are disjoint, so efficiency never
+/// exceeds 100 %. Same circuits, DFT style and seed as `flh atpg`.
+#[test]
+fn atpg_never_counts_a_detected_fault_as_untestable() {
+    for name in ["s344", "s838"] {
+        let profile = flh::netlist::iscas89_profile(name).expect("builtin profile");
+        let base = generate_circuit(&profile.generator_config()).expect("generates");
+        let dft = apply_style(&base, DftStyle::Flh).expect("flh");
+        let view = TestView::new(&dft.netlist).expect("view");
+        let faults = enumerate_transition_faults(&dft.netlist);
+        let r = transition_atpg(&view, &faults, &PodemConfig::paper_default(), 0xf1);
+        assert!(
+            r.detected_count() + r.untestable <= faults.len(),
+            "{name}: {} detected + {} untestable > {} faults",
+            r.detected_count(),
+            r.untestable,
+            faults.len()
+        );
+        assert!(
+            r.efficiency_pct() <= 100.0,
+            "{name}: {}",
+            r.efficiency_pct()
+        );
+    }
+}
